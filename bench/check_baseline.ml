@@ -14,10 +14,10 @@
      allocate, so a second accidental closure there also fails);
    - fig3 wall-clock may grow up to [time_ratio]x.
 
-   Aggregate engine throughput gets a tighter leash ([eps_ratio]): it is
-   the min-of-trials estimator over the hottest loop in the tree, much
-   less noisy than any single entry, so a drop past base/[eps_ratio]
-   means a real regression, not scheduler jitter.
+   Aggregate engine throughput gets a tighter leash ([eps_ratio]).  It is
+   [1e9 / schedule_fire_ns]: one trial of the engine's schedule-and-fire
+   microbench loop (bench/main.ml), not a min-of-trials estimate, so it
+   carries that single run's noise.
 
    Two flight-recorder invariants are additionally checked *within* the
    fresh snapshot (immune to machine-to-machine drift): the traced arena

@@ -27,19 +27,23 @@ let jobs =
     & opt int (Domain.recommended_domain_count ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
+(* Parser, printer and help text all come from [Kernel.arch_key], so every
+   architecture the kernel implements is reachable here. *)
 let arch_conv =
-  let parse = function
-    | "bsd" -> Ok Kernel.Bsd
-    | "soft-lrp" -> Ok Kernel.Soft_lrp
-    | "ni-lrp" -> Ok Kernel.Ni_lrp
-    | "early-demux" -> Ok Kernel.Early_demux
-    | s -> Error (`Msg (Printf.sprintf "unknown architecture %S" s))
+  let parse s =
+    match Kernel.arch_of_key s with
+    | Some a -> Ok a
+    | None -> Error (`Msg (Printf.sprintf "unknown architecture %S" s))
   in
-  let print fmt a = Format.pp_print_string fmt (Kernel.arch_name a) in
+  let print fmt a = Format.pp_print_string fmt (Kernel.arch_key a) in
   Arg.conv (parse, print)
 
 let arch =
-  let doc = "Kernel architecture: bsd, soft-lrp, ni-lrp or early-demux." in
+  let doc =
+    "Kernel architecture: "
+    ^ String.concat ", " (List.map Kernel.arch_key Kernel.archs)
+    ^ "."
+  in
   Arg.(value & opt arch_conv Kernel.Soft_lrp & info [ "arch" ] ~doc)
 
 let rate =

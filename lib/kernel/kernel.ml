@@ -63,6 +63,21 @@ let arch_name = function
   | Napi_gro -> "NAPI-GRO"
   | Rss -> "RSS"
 
+(* Command-line spelling of each architecture: the one table the CLI's
+   [--arch] parser, printer and help text are built from. *)
+let arch_key = function
+  | Bsd -> "bsd"
+  | Soft_lrp -> "soft-lrp"
+  | Ni_lrp -> "ni-lrp"
+  | Early_demux -> "early-demux"
+  | Napi -> "napi"
+  | Napi_gro -> "napi-gro"
+  | Rss -> "rss"
+
+let archs = [ Bsd; Soft_lrp; Ni_lrp; Early_demux; Napi; Napi_gro; Rss ]
+
+let arch_of_key s = List.find_opt (fun a -> arch_key a = s) archs
+
 let is_lrp = function
   | Soft_lrp | Ni_lrp -> true
   | Bsd | Early_demux | Napi | Napi_gro | Rss -> false
@@ -140,6 +155,12 @@ type app = {
   chan_pending : (int, unit) Hashtbl.t;  (* channel ids with a queued job *)
 }
 
+(* One entry of a poll batch: a packet ready for eager protocol
+   processing, its mbuf reservation (made at dequeue time, as the driver
+   would), and whether it is an IP fragment (fragments stay on byte
+   accounting; see [bsd_driver_rx]). *)
+type poll_item = { pi_pkt : Packet.t; pi_mh : Mbuf.handle; pi_frag : bool }
+
 (* Per-receive-queue NAPI poll context (Napi / Napi_gro / Rss).  [poll_on]
    is the NAPI "scheduled" bit: set from the mitigated interrupt until the
    ring truly drains, so at most one poll chain runs per queue.  [episode]
@@ -157,7 +178,39 @@ type napi = {
   mutable in_ksoftirqd : bool;
   ksoftirqd_wq : Proc.waitq;
   mutable ksoftirqd : Proc.t option;
+  mutable batch : poll_item list;
+      (* the collected batch its delivery work item will process *)
+  mutable batch_served : int;
 }
+
+(* Typed CPU work handlers for the per-packet receive path (see
+   {!Cpu.post_hard_to}): each post stores a handler, one argument and
+   one int instead of building a closure.  Registered by [create] once
+   the kernel record exists. *)
+type rx_targets = {
+  rx_intr : Packet.t Cpu.target;         (* BSD driver interrupt *)
+  rx_demux : Packet.t Cpu.target;        (* SOFT-LRP demux interrupt *)
+  edemux_intr : Packet.t Cpu.target;     (* Early-Demux interrupt *)
+  softnet : Packet.t Cpu.target;         (* BSD softnet; int = mbuf handle *)
+  edemux_softnet : Packet.t Cpu.target;  (* int = mbuf handle *)
+  edemux_forward : Packet.t Cpu.target;
+  reasm_complete : Packet.t Cpu.target;  (* transport input of a whole *)
+  ni_wake : Proc.waitq Cpu.target;
+  ni_wake_members : Socket.t list ref Cpu.target;
+  ni_app : (Tcp.conn * Channel.t) Cpu.target;
+  napi_irq : unit Cpu.target;            (* int = receive queue *)
+  napi_round : napi Cpu.target;
+  napi_deliver : napi Cpu.target;
+}
+
+let no_rx_targets =
+  { rx_intr = Cpu.no_target; rx_demux = Cpu.no_target;
+    edemux_intr = Cpu.no_target; softnet = Cpu.no_target;
+    edemux_softnet = Cpu.no_target; edemux_forward = Cpu.no_target;
+    reasm_complete = Cpu.no_target; ni_wake = Cpu.no_target;
+    ni_wake_members = Cpu.no_target; ni_app = Cpu.no_target;
+    napi_irq = Cpu.no_target; napi_round = Cpu.no_target;
+    napi_deliver = Cpu.no_target }
 
 (* A kick arriving within this many microseconds of the previous poll
    round's end continues the same polling {e episode} (the softirq level
@@ -228,6 +281,7 @@ type t = {
          capturing closure. *)
   mutable eph_port : int;
   stats : kstats;
+  mutable tg : rx_targets;
   (* --- observability (per-kernel: parallel sweeps never share these) --- *)
   tracer : Trace.t;
   metrics : Metrics.t;
@@ -848,7 +902,7 @@ let bsd_transport_input ?(mh = Mbuf.no_handle) t (pkt : Packet.t) =
   | Packet.Fragment _ -> assert false
 
 (* Cost of eager transport processing for a complete datagram. *)
-let transport_cost t (pkt : Packet.t) ~skip_pcb =
+let[@inline] transport_cost t (pkt : Packet.t) ~skip_pcb =
   let pcb = if skip_pcb then 0. else t.c.Cost.pcb_lookup in
   let base =
     match pkt.Packet.body with
@@ -863,7 +917,16 @@ let transport_cost t (pkt : Packet.t) ~skip_pcb =
 (* BSD receive path                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let bsd_soft_cost t (pkt : Packet.t) =
+(* Completion discovered while processing a fragment: the transport
+   processing of the whole datagram is a separate softint activation.
+   Fragments arrive without a handle; the whole is freed by bytes, as its
+   pieces were allocated. *)
+let post_reasm_complete t whole ~skip_pcb =
+  (Cpu.stage t.cpu).(0) <- transport_cost t whole ~skip_pcb;
+  Cpu.post_soft_to t.cpu ~label:"ip-reasm-complete"
+    ~tpkt:whole.Packet.ip.Packet.ident ~poll:false t.tg.reasm_complete whole 0
+
+let[@inline] bsd_soft_cost t (pkt : Packet.t) =
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
   then
     (* Transit packet: IP forwarding (or discard) in softint context. *)
@@ -897,15 +960,7 @@ let bsd_softnet ?(mh = Mbuf.no_handle) t pkt () =
   match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
   | None -> () (* incomplete datagram; fragments wait in the reassembler *)
   | Some whole ->
-      if Packet.is_fragment pkt then
-        (* Completion discovered while processing a fragment: the transport
-           processing is a separate softint activation.  Fragments arrive
-           without a handle ([mh = no_handle]); the whole is freed by
-           bytes, as its pieces were allocated. *)
-        Cpu.post_soft t.cpu ~label:"ip-reasm-complete"
-          ~tpkt:whole.Packet.ip.Packet.ident
-          ~cost:(transport_cost t whole ~skip_pcb:false)
-          (fun () -> bsd_transport_input t whole)
+      if Packet.is_fragment pkt then post_reasm_complete t whole ~skip_pcb:false
       else bsd_transport_input ~mh t whole
 
 let bsd_driver_rx t pkt () =
@@ -938,8 +993,9 @@ let bsd_driver_rx t pkt () =
     if t.ipq_len > t.stats.ipq_hwm then t.stats.ipq_hwm <- t.ipq_len;
     Trace.ipq_enqueue t.tracer ~pkt:pkt.Packet.ip.Packet.ident
       ~qlen:t.ipq_len;
-    Cpu.post_soft t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
-      ~cost:(bsd_soft_cost t pkt) (bsd_softnet ~mh t pkt)
+    (Cpu.stage t.cpu).(0) <- bsd_soft_cost t pkt;
+    Cpu.post_soft_to t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
+      ~poll:false t.tg.softnet pkt mh
   end
 
 (* ------------------------------------------------------------------ *)
@@ -970,12 +1026,6 @@ let rss_steer pkt ~queues =
    charged separately ([poll_dequeue]). *)
 let napi_proto_cost t pkt =
   bsd_soft_cost t pkt -. t.c.Cost.soft_dispatch -. t.c.Cost.ipq_op
-
-(* One entry of a poll batch: a packet ready for eager protocol
-   processing, its mbuf reservation (made at dequeue time, as the driver
-   would), and whether it is an IP fragment (fragments stay on byte
-   accounting; see [bsd_driver_rx]). *)
-type poll_item = { pi_pkt : Packet.t; pi_mh : Mbuf.handle; pi_frag : bool }
 
 (* GRO train cap, the analogue of the 64 kB aggregation limit. *)
 let gro_max_segs = 16
@@ -1227,13 +1277,7 @@ let napi_deliver t { pi_pkt = pkt; pi_mh = mh; pi_frag = frag } =
     match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
     | None -> () (* incomplete datagram; fragments wait in the reassembler *)
     | Some whole ->
-        if frag then
-          (* Completion discovered while processing a fragment: transport
-             processing is a separate softint activation, as under BSD. *)
-          Cpu.post_soft t.cpu ~label:"ip-reasm-complete"
-            ~tpkt:whole.Packet.ip.Packet.ident
-            ~cost:(transport_cost t whole ~skip_pcb:false)
-            (fun () -> bsd_transport_input t whole)
+        if frag then post_reasm_complete t whole ~skip_pcb:false
         else bsd_transport_input ~mh t whole
 
 (* The softirq poll chain.  Each round is two softirq work items: a fixed
@@ -1252,46 +1296,64 @@ let napi_deliver t { pi_pkt = pkt; pi_mh = mh; pi_frag = frag } =
    interrupt storm: a "served < budget" test would re-enable while
    arrivals during delivery still sit in the ring, and sustained load
    would then be serviced entirely at interrupt priority. *)
-let rec napi_post_poll t n =
-  Cpu.post_soft t.cpu ~label:"napi-poll" ~poll:true ~cost:t.c.Cost.poll_loop
-    (fun () -> napi_softirq_round t n)
+let napi_post_poll t n =
+  (Cpu.stage t.cpu).(0) <- t.c.Cost.poll_loop;
+  Cpu.post_soft_to t.cpu ~label:"napi-poll" ~tpkt:(-1) ~poll:true
+    t.tg.napi_round n 0
 
-and napi_softirq_round t n =
+let napi_softirq_round t n =
   Trace.poll_begin t.tracer ~q:n.nq ~pending:(Nic.rxq_len t.nic n.nq);
   let batch, cost, served = napi_collect t n.nq in
-  Cpu.post_soft t.cpu ~label:"napi-poll" ~poll:true ~cost (fun () ->
-      List.iter (napi_deliver t) batch;
-      Trace.poll_end t.tracer ~q:n.nq ~served;
-      n.episode <- n.episode + served;
-      n.last_poll <- Engine.now t.engine;
-      if n.episode >= t.cfg.napi_budget then begin
-        n.in_ksoftirqd <- true;
-        wake_one t n.ksoftirqd_wq
-      end
-      else if Nic.rxq_len t.nic n.nq = 0 then begin
-        (* Ring drained with budget to spare: unmask.  [episode] is kept —
-           if the next kick lands within [napi_storm_gap] it continues
-           this episode, so a sustained flood still reaches the budget
-           and defers to ksoftirqd. *)
-        n.poll_on <- false;
-        Nic.rxq_enable_intr t.nic n.nq
-      end
-      else napi_post_poll t n)
+  n.batch <- batch;
+  n.batch_served <- served;
+  (Cpu.stage t.cpu).(0) <- cost;
+  Cpu.post_soft_to t.cpu ~label:"napi-poll" ~tpkt:(-1) ~poll:true
+    t.tg.napi_deliver n 0
+
+let rec napi_deliver_all t = function
+  | [] -> ()
+  | item :: rest ->
+      napi_deliver t item;
+      napi_deliver_all t rest
+
+let napi_deliver_batch t n =
+  let batch = n.batch and served = n.batch_served in
+  n.batch <- [];
+  napi_deliver_all t batch;
+  Trace.poll_end t.tracer ~q:n.nq ~served;
+  n.episode <- n.episode + served;
+  n.last_poll <- Engine.now t.engine;
+  if n.episode >= t.cfg.napi_budget then begin
+    n.in_ksoftirqd <- true;
+    wake_one t n.ksoftirqd_wq
+  end
+  else if Nic.rxq_len t.nic n.nq = 0 then begin
+    (* Ring drained with budget to spare: unmask.  [episode] is kept —
+       if the next kick lands within [napi_storm_gap] it continues
+       this episode, so a sustained flood still reaches the budget
+       and defers to ksoftirqd. *)
+    n.poll_on <- false;
+    Nic.rxq_enable_intr t.nic n.nq
+  end
+  else napi_post_poll t n
 
 (* The mitigated interrupt: ack, mask the queue, schedule the poll —
    constant cost, no per-packet work (the NAPI contract). *)
 let napi_kick t qi =
-  Cpu.post_hard t.cpu ~label:"napi-irq" ~cost:t.c.Cost.napi_irq (fun () ->
-      Nic.rxq_disable_intr t.nic qi;
-      let n = t.napi.(qi) in
-      if not n.poll_on then begin
-        n.poll_on <- true;
-        (* A quiet spell since the last poll round ends the episode; a
-           kick inside the storm gap continues it (and its budget). *)
-        if Engine.now t.engine -. n.last_poll > napi_storm_gap then
-          n.episode <- 0;
-        napi_post_poll t n
-      end)
+  (Cpu.stage t.cpu).(0) <- t.c.Cost.napi_irq;
+  Cpu.post_hard_to t.cpu ~label:"napi-irq" ~tpkt:(-1) t.tg.napi_irq () qi
+
+let napi_irq t qi =
+  Nic.rxq_disable_intr t.nic qi;
+  let n = t.napi.(qi) in
+  if not n.poll_on then begin
+    n.poll_on <- true;
+    (* A quiet spell since the last poll round ends the episode; a
+       kick inside the storm gap continues it (and its budget). *)
+    if Engine.now t.engine -. n.last_poll > napi_storm_gap then
+      n.episode <- 0;
+    napi_post_poll t n
+  end
 
 (* Process-context polling: once a softirq chain defers, the queue's
    ksoftirqd repolls under the fair scheduler — poll cycles now compete
@@ -1318,7 +1380,7 @@ let ksoftirqd_loop t n =
     Cpu.compute_poll t.cpu t.c.Cost.poll_loop;
     let batch, cost, served = napi_collect t n.nq in
     Cpu.compute_poll t.cpu cost;
-    List.iter (napi_deliver t) batch;
+    napi_deliver_all t batch;
     Trace.poll_end t.tracer ~q:n.nq ~served;
     if served > 0 || Nic.rxq_len t.nic n.nq > 0 then poll 0
     else if quiet >= 1 then begin
@@ -1347,10 +1409,32 @@ let ksoftirqd_loop t n =
 (* Wake a consumer from NI context.  Under soft demux we are already in a
    hardware interrupt, so the wake is immediate; under NI demux the NI must
    raise a (cheap) host interrupt to do it. *)
-let ni_wake t f =
+let ni_intr t tgt v =
+  (Cpu.stage t.cpu).(0) <- t.c.Cost.ni_wakeup_intr;
+  Cpu.post_hard_to t.cpu ~label:"ni-intr" ~tpkt:(-1) tgt v 0
+
+let ni_wake t wq =
   match t.cfg.arch with
-  | Ni_lrp -> Cpu.post_hard t.cpu ~label:"ni-intr" ~cost:t.c.Cost.ni_wakeup_intr f
-  | Soft_lrp | Bsd | Early_demux | Napi | Napi_gro | Rss -> f ()
+  | Ni_lrp -> ni_intr t t.tg.ni_wake wq
+  | Soft_lrp | Bsd | Early_demux | Napi | Napi_gro | Rss -> wake_one t wq
+
+let rec wake_members t = function
+  | [] -> ()
+  | (m : Socket.t) :: rest ->
+      wake_one t m.Socket.recv_wait;
+      wake_members t rest
+
+let ni_wake_members t members =
+  match t.cfg.arch with
+  | Ni_lrp -> ni_intr t t.tg.ni_wake_members members
+  | Soft_lrp | Bsd | Early_demux | Napi | Napi_gro | Rss ->
+      wake_members t !members
+
+let ni_wake_app t conn ch =
+  match t.cfg.arch with
+  | Ni_lrp -> ni_intr t t.tg.ni_app (conn, ch)
+  | Soft_lrp | Bsd | Early_demux | Napi | Napi_gro | Rss ->
+      app_post_chan t conn ch
 
 let lrp_classify_rx t pkt =
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
@@ -1361,7 +1445,7 @@ let lrp_classify_rx t pkt =
     if t.cfg.forwarding then begin
       if Channel.enqueue_code (Chantab.fwd_channel t.chantab) pkt
          = Channel.queued_was_empty
-      then ni_wake t (fun () -> wake_one t t.fwd_wq)
+      then ni_wake t t.fwd_wq
     end
     else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
@@ -1383,7 +1467,7 @@ let lrp_classify_rx t pkt =
            if Channel.enqueue_code (Chantab.icmp_channel t.chantab) pkt
               = Channel.queued_was_empty
               && t.cfg.udp_helper
-           then ni_wake t (fun () -> wake_one t t.helper_wq)
+           then ni_wake t t.helper_wq
        | Demux.Udp_class | Demux.Frag_class | Demux.Icmp_class ->
            t.stats.demux_drops <- t.stats.demux_drops + 1)
   end
@@ -1404,24 +1488,17 @@ let lrp_classify_rx t pkt =
                 if Channel.interrupt_requested ch then begin
                   Channel.clear_interrupt_request ch;
                   match Hashtbl.find_opt t.mcast_members dst_port_of_flow with
-                  | Some members ->
-                      ni_wake t (fun () ->
-                          List.iter
-                            (fun (m : Socket.t) ->
-                              wake_one t m.Socket.recv_wait)
-                            !members)
+                  | Some members -> ni_wake_members t members
                   | None ->
                       (match Hashtbl.find_opt t.chan_sock (Channel.id ch) with
-                       | Some sock ->
-                           ni_wake t (fun () ->
-                               wake_one t sock.Socket.recv_wait)
+                       | Some sock -> ni_wake t sock.Socket.recv_wait
                        | None -> ())
                 end
                 else if t.cfg.udp_helper && was_empty then
                   (* Nobody is waiting: let the minimal-priority protocol
                      thread pick it up if the CPU is otherwise idle
                      (section 3.3). *)
-                  ni_wake t (fun () -> wake_one t t.helper_wq)
+                  ni_wake t t.helper_wq
             | Demux.Tcp_class ->
                 trc t "rx tcp chan %d len=%d trans=%s" (Channel.id ch)
                   (Channel.length ch)
@@ -1431,113 +1508,115 @@ let lrp_classify_rx t pkt =
                    under NI demux that keeps host interrupts rare. *)
                 if was_empty then
                   (match Hashtbl.find_opt t.chan_conn (Channel.id ch) with
-                   | Some conn -> ni_wake t (fun () -> app_post_chan t conn ch)
+                   | Some conn -> ni_wake_app t conn ch
                    | None -> trc t "rx tcp chan %d: NO CONN" (Channel.id ch))
             | Demux.Frag_class ->
                 (* Fragments needing reassembly: the helper integrates them
                    if no receiver does it lazily first. *)
                 if t.cfg.udp_helper && was_empty then
-                  ni_wake t (fun () -> wake_one t t.helper_wq)
+                  ni_wake t t.helper_wq
             | Demux.Icmp_class ->
                 if t.cfg.udp_helper && was_empty then
-                  ni_wake t (fun () -> wake_one t t.helper_wq)))
+                  ni_wake t t.helper_wq))
 
 (* ------------------------------------------------------------------ *)
 (* Early-Demux receive path                                             *)
 (* ------------------------------------------------------------------ *)
 
-let edemux_rx t pkt () =
+let edemux_drop t pkt =
+  t.stats.edemux_early_drops <- t.stats.edemux_early_drops + 1;
+  Trace.early_discard t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
+
+(* Eager protocol processing of a packet that passed the early check.
+   Early demux has already found the endpoint, so the transport cost
+   skips the PCB lookup. *)
+let edemux_eager t pkt =
+  let frag_extra =
+    if Packet.is_fragment pkt then
+      t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag
+    else 0.
+  in
+  let transport =
+    if Packet.is_fragment pkt then 0. else transport_cost t pkt ~skip_pcb:true
+  in
+  let cost =
+    t.c.Cost.soft_dispatch
+    +. (t.c.Cost.eager_penalty *. t.c.Cost.ip_in)
+    +. frag_extra +. transport +. t.c.Cost.sockbuf_append
+  in
+  let is_frag = Packet.is_fragment pkt in
+  let mh =
+    if is_frag then Mbuf.no_handle
+    else Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes pkt)
+  in
+  let alloc_ok =
+    if is_frag then Mbuf.alloc t.mbufs ~bytes:(Packet.wire_bytes pkt)
+    else mh >= 0
+  in
+  if not alloc_ok then begin
+    t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
+    Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
+  end
+  else begin
+    (Cpu.stage t.cpu).(0) <- cost;
+    Cpu.post_soft_to t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
+      ~poll:false t.tg.edemux_softnet pkt mh
+  end
+
+let edemux_softnet t pkt mh =
+  match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
+  | None -> ()
+  | Some whole ->
+      if Packet.is_fragment pkt then post_reasm_complete t whole ~skip_pcb:true
+      else bsd_transport_input ~mh t whole
+
+let edemux_rx t pkt =
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
   then begin
-    if t.cfg.forwarding then
-      Cpu.post_soft t.cpu ~label:"ip-forward"
-        ~cost:(t.c.Cost.soft_dispatch
-               +. (t.c.Cost.eager_penalty
-                   *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward)))
-        (fun () ->
-          t.stats.forwarded <- t.stats.forwarded + 1;
-          ip_output t pkt)
+    if t.cfg.forwarding then begin
+      (Cpu.stage t.cpu).(0) <-
+        t.c.Cost.soft_dispatch
+        +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward));
+      Cpu.post_soft_to t.cpu ~label:"ip-forward" ~tpkt:(-1) ~poll:false
+        t.tg.edemux_forward pkt 0
+    end
     else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
   else
   let flow = Demux.flow_of_packet pkt in
   Trace.demux t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
     ~flow:(Demux.flow_id flow);
-  let drop () =
-    t.stats.edemux_early_drops <- t.stats.edemux_early_drops + 1;
-    Trace.early_discard t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
-  in
-  let eager_process ~skip_pcb =
-    let frag_extra =
-      if Packet.is_fragment pkt then
-        t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag
-      else 0.
-    in
-    let transport =
-      if Packet.is_fragment pkt then 0. else transport_cost t pkt ~skip_pcb
-    in
-    let cost =
-      t.c.Cost.soft_dispatch
-      +. (t.c.Cost.eager_penalty *. t.c.Cost.ip_in)
-      +. frag_extra +. transport +. t.c.Cost.sockbuf_append
-    in
-    let is_frag = Packet.is_fragment pkt in
-    let mh =
-      if is_frag then Mbuf.no_handle
-      else Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes pkt)
-    in
-    let alloc_ok =
-      if is_frag then Mbuf.alloc t.mbufs ~bytes:(Packet.wire_bytes pkt)
-      else mh >= 0
-    in
-    if not alloc_ok then begin
-      t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-      Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-    end
-    else
-      Cpu.post_soft t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
-        ~cost (fun () ->
-          match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-          | None -> ()
-          | Some whole ->
-              if is_frag then
-                Cpu.post_soft t.cpu ~label:"ip-reasm-complete"
-                  ~tpkt:whole.Packet.ip.Packet.ident
-                  ~cost:(transport_cost t whole ~skip_pcb)
-                  (fun () -> bsd_transport_input t whole)
-              else bsd_transport_input ~mh t whole)
-  in
   match flow with
   | Demux.Udp_flow { dst_port; _ } ->
       (match Hashtbl.find_opt t.udp_ports dst_port with
-       | None -> drop ()
+       | None -> edemux_drop t pkt
        | Some sock ->
            (* Early discard on a full receiver queue — but processing stays
               eager. *)
            if Queue.length sock.Socket.udp_rcv >= sock.Socket.udp_rcv_limit
-           then drop ()
-           else eager_process ~skip_pcb:true)
+           then edemux_drop t pkt
+           else edemux_eager t pkt)
   | Demux.Tcp_flow { src; src_port; dst_port; syn_only } ->
       (match Hashtbl.find_opt t.tcp_conns (src, src_port, dst_port) with
        | Some conn ->
-           if conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit then drop ()
-           else eager_process ~skip_pcb:true
+           if conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit then edemux_drop t pkt
+           else edemux_eager t pkt
        | None ->
            if syn_only then
              match Hashtbl.find_opt t.tcp_listeners dst_port with
              | Some l ->
                  if l.Tcp.syn_pending + Queue.length l.Tcp.accept_queue
                     >= l.Tcp.backlog
-                 then drop ()
-                 else eager_process ~skip_pcb:true
+                 then edemux_drop t pkt
+                 else edemux_eager t pkt
              | None ->
                  (* No endpoint: process eagerly so TCP answers with an
                     RST, as the BSD code this kernel is derived from does. *)
-                 eager_process ~skip_pcb:true
-           else eager_process ~skip_pcb:true)
-  | Demux.Frag_flow _ -> eager_process ~skip_pcb:true
-  | Demux.Icmp_flow -> eager_process ~skip_pcb:true
-  | Demux.Other_flow _ -> drop ()
+                 edemux_eager t pkt
+           else edemux_eager t pkt)
+  | Demux.Frag_flow _ -> edemux_eager t pkt
+  | Demux.Icmp_flow -> edemux_eager t pkt
+  | Demux.Other_flow _ -> edemux_drop t pkt
 
 (* ------------------------------------------------------------------ *)
 (* NIC receive dispatch                                                 *)
@@ -1545,32 +1624,55 @@ let edemux_rx t pkt () =
 
 let rx_dispatch t pkt =
   t.stats.rx_frames <- t.stats.rx_frames + 1;
+  let stage = Cpu.stage t.cpu in
   match t.cfg.arch with
   | Bsd ->
-      Cpu.post_hard t.cpu ~label:"rx-intr" ~tpkt:pkt.Packet.ip.Packet.ident
-        ~cost:(t.c.Cost.hard_rx +. t.c.Cost.ipq_op)
-        (bsd_driver_rx t pkt)
+      stage.(0) <- t.c.Cost.hard_rx +. t.c.Cost.ipq_op;
+      Cpu.post_hard_to t.cpu ~label:"rx-intr" ~tpkt:pkt.Packet.ip.Packet.ident
+        t.tg.rx_intr pkt 0
   | Soft_lrp ->
       (* Soft demux: classification runs in the hardware interrupt. *)
-      Cpu.post_hard t.cpu ~label:"rx-demux" ~tpkt:pkt.Packet.ip.Packet.ident
-        ~cost:(t.c.Cost.hard_rx +. t.c.Cost.demux)
-        (fun () -> lrp_classify_rx t pkt)
+      stage.(0) <- t.c.Cost.hard_rx +. t.c.Cost.demux;
+      Cpu.post_hard_to t.cpu ~label:"rx-demux"
+        ~tpkt:pkt.Packet.ip.Packet.ident t.tg.rx_demux pkt 0
   | Ni_lrp ->
       (* NI demux: classification runs on the interface's embedded
          processor — zero host CPU. *)
       lrp_classify_rx t pkt
   | Early_demux ->
-      Cpu.post_hard t.cpu ~label:"rx-demux" ~tpkt:pkt.Packet.ip.Packet.ident
-        ~cost:(t.c.Cost.hard_rx +. t.c.Cost.demux)
-        (edemux_rx t pkt)
+      stage.(0) <- t.c.Cost.hard_rx +. t.c.Cost.demux;
+      Cpu.post_hard_to t.cpu ~label:"rx-demux"
+        ~tpkt:pkt.Packet.ip.Packet.ident t.tg.edemux_intr pkt 0
   | Napi | Napi_gro | Rss ->
       (* Only non-queued interfaces reach this handler (the primary NIC
          runs in queued-RX mode and hands frames to the poll loop without
          going through it); secondary interfaces of a multi-homed host
          fall back to the eager BSD path. *)
-      Cpu.post_hard t.cpu ~label:"rx-intr" ~tpkt:pkt.Packet.ip.Packet.ident
-        ~cost:(t.c.Cost.hard_rx +. t.c.Cost.ipq_op)
-        (bsd_driver_rx t pkt)
+      stage.(0) <- t.c.Cost.hard_rx +. t.c.Cost.ipq_op;
+      Cpu.post_hard_to t.cpu ~label:"rx-intr" ~tpkt:pkt.Packet.ip.Packet.ident
+        t.tg.rx_intr pkt 0
+
+(* Register the receive path's typed CPU work handlers (see
+   [rx_targets]). *)
+let register_rx_targets t =
+  let tg f = Cpu.target t.cpu f in
+  t.tg <-
+    { rx_intr = tg (fun pkt _ -> bsd_driver_rx t pkt ());
+      rx_demux = tg (fun pkt _ -> lrp_classify_rx t pkt);
+      edemux_intr = tg (fun pkt _ -> edemux_rx t pkt);
+      softnet = tg (fun pkt mh -> bsd_softnet ~mh t pkt ());
+      edemux_softnet = tg (fun pkt mh -> edemux_softnet t pkt mh);
+      edemux_forward =
+        tg (fun pkt _ ->
+            t.stats.forwarded <- t.stats.forwarded + 1;
+            ip_output t pkt);
+      reasm_complete = tg (fun whole _ -> bsd_transport_input t whole);
+      ni_wake = tg (fun wq _ -> wake_one t wq);
+      ni_wake_members = tg (fun members _ -> wake_members t !members);
+      ni_app = tg (fun (conn, ch) _ -> app_post_chan t conn ch);
+      napi_irq = tg (fun () qi -> napi_irq t qi);
+      napi_round = tg (fun n _ -> napi_softirq_round t n);
+      napi_deliver = tg (fun n _ -> napi_deliver_batch t n) }
 
 (* ------------------------------------------------------------------ *)
 (* Lazy UDP protocol processing (LRP receive path, section 3.3)         *)
@@ -1753,7 +1855,7 @@ let create engine fabric ~name ~ip cfg =
       udp_channels = []; napi = [||]; napi_grace_tgt = None;
       reasm = Ip.Reasm.create ();
       tcp_env = None; timer_tgt = None; rcvto_tgt = None;
-      eph_port = 20_000;
+      eph_port = 20_000; tg = no_rx_targets;
       stats =
         { rx_frames = 0; ipq_drops = 0; mbuf_drops = 0; no_port_drops = 0;
           demux_drops = 0; edemux_early_drops = 0; udp_delivered = 0;
@@ -1762,6 +1864,7 @@ let create engine fabric ~name ~ip cfg =
           csum_drops = 0; ipq_hwm = 0 } }
   in
   t.interfaces <- [ (ip, 24, nic) ];
+  register_rx_targets t;
   t.tcp_env <- Some (make_tcp_env t);
   t.all_channels <-
     [ Chantab.frag_channel t.chantab; Chantab.icmp_channel t.chantab;
@@ -1842,7 +1945,7 @@ let create engine fabric ~name ~ip cfg =
             in_ksoftirqd = false;
             ksoftirqd_wq =
               Proc.waitq (Printf.sprintf "%s.ksoftirqd/%d" name qi);
-            ksoftirqd = None });
+            ksoftirqd = None; batch = []; batch_served = 0 });
     Nic.configure_rx_queues nic ~queues ~ring:cfg.rx_ring
       ~coalesce_pkts:cfg.coalesce_pkts ~coalesce_us:cfg.coalesce_us ~steer
       ~kick:(fun qi -> napi_kick t qi);

@@ -42,6 +42,17 @@ type arch = Bsd | Soft_lrp | Ni_lrp | Early_demux | Napi | Napi_gro | Rss
     three modern back-ends. *)
 
 val arch_name : arch -> string
+
+val arch_key : arch -> string
+(** Command-line spelling ([bsd], [soft-lrp], [ni-lrp], [early-demux],
+    [napi], [napi-gro], [rss]). *)
+
+val archs : arch list
+(** Every architecture, in declaration order. *)
+
+val arch_of_key : string -> arch option
+(** Inverse of {!arch_key}. *)
+
 val is_lrp : arch -> bool
 
 val is_napi : arch -> bool
@@ -110,6 +121,14 @@ type app = {
   chan_pending : (int, unit) Hashtbl.t;
 }
 
+(** One entry of a NAPI poll batch: a packet, its mbuf reservation and
+    whether it is an IP fragment. *)
+type poll_item = {
+  pi_pkt : Lrp_net.Packet.t;
+  pi_mh : Lrp_net.Mbuf.handle;
+  pi_frag : bool;
+}
+
 (** Per-receive-queue NAPI poll context: the "scheduled" bit, the
     packets served since the interrupt was masked (a softirq polling
     episode defers to ksoftirqd once this reaches the budget), the
@@ -122,6 +141,27 @@ type napi = {
   mutable in_ksoftirqd : bool;
   ksoftirqd_wq : Lrp_sim.Proc.waitq;
   mutable ksoftirqd : Lrp_sim.Proc.t option;
+  mutable batch : poll_item list;
+      (** the collected batch its delivery work item will process *)
+  mutable batch_served : int;
+}
+
+(** The receive path's typed CPU work handlers ({!Lrp_sim.Cpu.target}),
+    registered once per kernel so a per-packet post builds no closure. *)
+type rx_targets = {
+  rx_intr : Lrp_net.Packet.t Lrp_sim.Cpu.target;
+  rx_demux : Lrp_net.Packet.t Lrp_sim.Cpu.target;
+  edemux_intr : Lrp_net.Packet.t Lrp_sim.Cpu.target;
+  softnet : Lrp_net.Packet.t Lrp_sim.Cpu.target;
+  edemux_softnet : Lrp_net.Packet.t Lrp_sim.Cpu.target;
+  edemux_forward : Lrp_net.Packet.t Lrp_sim.Cpu.target;
+  reasm_complete : Lrp_net.Packet.t Lrp_sim.Cpu.target;
+  ni_wake : Lrp_sim.Proc.waitq Lrp_sim.Cpu.target;
+  ni_wake_members : Socket.t list ref Lrp_sim.Cpu.target;
+  ni_app : (Lrp_proto.Tcp.conn * Lrp_core.Channel.t) Lrp_sim.Cpu.target;
+  napi_irq : unit Lrp_sim.Cpu.target;
+  napi_round : napi Lrp_sim.Cpu.target;
+  napi_deliver : napi Lrp_sim.Cpu.target;
 }
 type t = {
   kname : string;
@@ -164,6 +204,7 @@ type t = {
   mutable rcvto_tgt : (Socket.t * bool ref) Lrp_engine.Engine.target option;
   mutable eph_port : int;
   stats : kstats;
+  mutable tg : rx_targets;
   tracer : Lrp_trace.Trace.t;
   metrics : Lrp_trace.Metrics.t;
 }
@@ -263,9 +304,12 @@ val rss_steer : Lrp_net.Packet.t -> queues:int -> int
     counts.  Fragments steer by IP ident so one datagram's pieces share
     a ring. *)
 
-val ni_wake : t -> (unit -> unit) -> unit
+val ni_wake : t -> Lrp_sim.Proc.waitq -> unit
+(** Wake the queue's longest sleeper from NI context: at once under soft
+    demux, through a cheap host interrupt under NI demux. *)
+
 val lrp_classify_rx : t -> Lrp_net.Packet.t -> unit
-val edemux_rx : t -> Lrp_net.Packet.t -> unit -> unit
+val edemux_rx : t -> Lrp_net.Packet.t -> unit
 val rx_dispatch : t -> Lrp_net.Packet.t -> unit
 val drain_frag_channel : t -> charge:(float -> unit) -> Lrp_net.Packet.t list
 val lrp_process_udp_raw :

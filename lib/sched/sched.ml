@@ -21,19 +21,28 @@ type thread = {
   mutable state : state;
   mutable enqueue_seq : int;
   mutable quantum : int;
-  mutable sleep_start : Time.t;
+  sleep_start : float array;
+      (* 1 slot: a mutable float field of this mixed record would box on
+         every store, and the CPU sleeps a thread per blocking call *)
   mutable account : thread option;
   mutable ticks : int;
 }
 
+(* Live threads sit in [threads.(0 .. n - 1)], oldest first; the array
+   grows by doubling and an exit closes the gap in place, so the dispatch
+   path's scans and removals allocate nothing. *)
 type t = {
-  mutable threads : thread list;
+  mutable threads : thread array;
+  mutable n : int;
   mutable next_tid : int;
   mutable next_seq : int;
   mutable loadavg : float;
+  now_cell : float array;  (* stages [~now] for the float-argument API *)
 }
 
-let create () = { threads = []; next_tid = 1; next_seq = 0; loadavg = 0. }
+let create () =
+  { threads = [||]; n = 0; next_tid = 1; next_seq = 0; loadavg = 0.;
+    now_cell = [| 0. |] }
 
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
 
@@ -52,11 +61,17 @@ let add_thread t ?(nice = 0) ~name () =
   let th =
     { tid = t.next_tid; name; nice = clamp (-20) 20 nice; p_cpu = 0.;
       priority = priority_user; state = Sleeping; enqueue_seq = 0; quantum = 0;
-      sleep_start = Time.zero; account = None; ticks = 0 }
+      sleep_start = [| Time.zero |]; account = None; ticks = 0 }
   in
   t.next_tid <- t.next_tid + 1;
   recompute_priority th;
-  t.threads <- th :: t.threads;
+  if t.n = Array.length t.threads then begin
+    let a = Array.make (max 8 (2 * t.n)) th in
+    Array.blit t.threads 0 a 0 t.n;
+    t.threads <- a
+  end;
+  t.threads.(t.n) <- th;
+  t.n <- t.n + 1;
   th
 
 let set_account th owner = th.account <- owner
@@ -71,22 +86,36 @@ let is_sleeping th = th.state = Sleeping
 let ticks_charged th = th.ticks
 
 let runnable_count t =
-  List.length (List.filter (fun th -> th.state = Runnable) t.threads)
+  let c = ref 0 in
+  for i = 0 to t.n - 1 do
+    if t.threads.(i).state = Runnable then incr c
+  done;
+  !c
 
 let decay_factor load = 2. *. load /. ((2. *. load) +. 1.)
 
-let make_runnable t ~now th =
+let make_runnable_at t ~clock th =
   match th.state with
   | Runnable -> ()
-  | Exited -> invalid_arg "Sched.make_runnable: thread has exited"
+  | Exited ->
+      (* alloc: cold — error path *)
+      invalid_arg "Sched.make_runnable: thread has exited"
   | Sleeping ->
       (* 4.3BSD updatepri(): decay p_cpu once per whole second slept, so a
          thread that waits on I/O regains good priority. *)
-      let slept_sec = int_of_float (Time.to_sec (now -. th.sleep_start)) in
+      let slept_sec =
+        (* [Time.to_sec], written out: a float-returning call boxes *)
+        int_of_float ((clock.(0) -. th.sleep_start.(0)) /. 1_000_000.)
+      in
       if slept_sec > 0 then begin
-        let f = decay_factor t.loadavg in
-        let rec apply n cpu = if n = 0 then cpu else apply (n - 1) (cpu *. f) in
-        th.p_cpu <- apply (min slept_sec 20) th.p_cpu
+        (* [decay_factor t.loadavg], written out for the same reason *)
+        let load = t.loadavg in
+        let f = 2. *. load /. ((2. *. load) +. 1.) in
+        let cpu = ref th.p_cpu in
+        for _ = 1 to min slept_sec 20 do
+          cpu := !cpu *. f
+        done;
+        th.p_cpu <- !cpu
       end;
       recompute_priority th;
       th.state <- Runnable;
@@ -94,32 +123,61 @@ let make_runnable t ~now th =
       t.next_seq <- t.next_seq + 1;
       th.quantum <- 0
 
-let sleep _t ~now th =
-  if th.state = Exited then invalid_arg "Sched.sleep: thread has exited";
+let make_runnable t ~now th =
+  t.now_cell.(0) <- now;
+  make_runnable_at t ~clock:t.now_cell th
+
+let sleep_at _t ~clock th =
+  if th.state = Exited then
+    (* alloc: cold — error path *)
+    invalid_arg "Sched.sleep: thread has exited";
   th.state <- Sleeping;
-  th.sleep_start <- now
+  th.sleep_start.(0) <- clock.(0)
+
+let sleep t ~now th =
+  t.now_cell.(0) <- now;
+  sleep_at t ~clock:t.now_cell th
 
 let exit_thread t th =
   th.state <- Exited;
-  t.threads <- List.filter (fun other -> other.tid <> th.tid) t.threads
+  let j = ref 0 in
+  for i = 0 to t.n - 1 do
+    let other = t.threads.(i) in
+    if other.tid <> th.tid then begin
+      t.threads.(!j) <- other;
+      incr j
+    end
+  done;
+  t.n <- !j
 
 let better a b =
   a.priority < b.priority || (a.priority = b.priority && a.enqueue_seq < b.enqueue_seq)
 
+(* Index of the best runnable thread, or [-1]: the priority fold as an
+   index scan, so a dispatch decision builds no option. *)
+let best_index t =
+  let best = ref (-1) in
+  for i = 0 to t.n - 1 do
+    let th = t.threads.(i) in
+    if th.state = Runnable && (!best < 0 || better th t.threads.(!best)) then
+      best := i
+  done;
+  !best
+
+let pick_tid t =
+  let i = best_index t in
+  if i < 0 then -1 else t.threads.(i).tid
+
 let pick t =
-  let best acc th =
-    if th.state <> Runnable then acc
-    else
-      match acc with
-      | None -> Some th
-      | Some cur -> if better th cur then Some th else acc
-  in
-  List.fold_left best None t.threads
+  let i = best_index t in
+  if i < 0 then None else Some t.threads.(i)
 
 let should_preempt t ~current =
-  match pick t with
-  | None -> false
-  | Some best -> best.tid <> current.tid && best.priority < current.priority
+  let i = best_index t in
+  i >= 0
+  &&
+  let best = t.threads.(i) in
+  best.tid <> current.tid && best.priority < current.priority
 
 let requeue t th =
   th.enqueue_seq <- t.next_seq;
@@ -144,12 +202,15 @@ let decay t =
   let inst = float_of_int (runnable_count t) in
   t.loadavg <- (0.8 *. t.loadavg) +. (0.2 *. inst);
   let f = decay_factor t.loadavg in
-  let decay_thread th =
+  (* Newest first: a thread that accounts to an older owner (LRP's APP
+     thread) recomputes its priority from the owner's usage before the
+     owner's own decay, as schedcpu() walking the process list does. *)
+  for i = t.n - 1 downto 0 do
+    let th = t.threads.(i) in
     th.p_cpu <- (f *. th.p_cpu) +. float_of_int th.nice;
     if th.p_cpu < 0. then th.p_cpu <- 0.;
     recompute_priority th
-  in
-  List.iter decay_thread t.threads
+  done
 
 let load_average t = t.loadavg
 
@@ -159,7 +220,7 @@ let register_metrics t m ~prefix =
   Metrics.gauge m (prefix ^ ".runnable") (fun () ->
       float_of_int (runnable_count t));
   Metrics.gauge m (prefix ^ ".threads") (fun () ->
-      float_of_int (List.length t.threads))
+      float_of_int t.n)
 
 let pp_thread fmt th =
   Fmt.pf fmt "%s(tid=%d pri=%d p_cpu=%.1f %s)" th.name th.tid th.priority

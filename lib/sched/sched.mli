@@ -79,11 +79,24 @@ val make_runnable : t -> now:Time.t -> thread -> unit
 val sleep : t -> now:Time.t -> thread -> unit
 (** Remove the thread from the run queue and record the sleep start. *)
 
+val make_runnable_at : t -> clock:float array -> thread -> unit
+(** [make_runnable] with the current time read from [clock.(0)] (the
+    engine's clock cell): a float argument is boxed at the call, a
+    float-array slot is not. *)
+
+val sleep_at : t -> clock:float array -> thread -> unit
+(** [sleep] with the current time read from [clock.(0)]. *)
+
 val exit_thread : t -> thread -> unit
 
 val pick : t -> thread option
 (** Best-priority runnable thread (FIFO among equals).  Does not change any
     state. *)
+
+val pick_tid : t -> int
+(** [tid] of the thread {!pick} would return, or [-1] when nothing is
+    runnable.  Allocation-free: the CPU's dispatch loop calls it on every
+    decision. *)
 
 val should_preempt : t -> current:thread -> bool
 (** True when some runnable thread has strictly better priority than

@@ -78,6 +78,43 @@ val post_soft :
     and preempts at softirq level, but its cycles are ledgered as
     {!Ledger.Poll} instead of [Soft]. *)
 
+(** {2 Typed posts}
+
+    The closure-free form of {!post_hard}/{!post_soft}, for per-packet
+    call sites.  A call site registers its handler once as a {!target};
+    each post then stores only the target, one argument and one int in
+    the level's work ring.  The cost is read from the {!stage} cell and
+    [label]/[tpkt] are required arguments, because a computed float
+    argument is boxed at the call and an optional argument is wrapped in
+    [Some].  In steady state a typed post allocates nothing. *)
+
+type 'a target
+(** A registered work handler taking an ['a] and an int. *)
+
+val target : t -> ('a -> int -> unit) -> 'a target
+(** [target t f] registers [f] as a work handler.  Call it once per call
+    site at setup, not per post. *)
+
+val no_target : 'a target
+(** A handler that does nothing: the initial value of a target slot that
+    is filled in after its owner is built. *)
+
+val stage : t -> float array
+(** The CPU's 1-slot cost cell.  Write the cost of the next typed post
+    into slot 0 immediately before calling {!post_hard_to} or
+    {!post_soft_to}; the post reads it at once. *)
+
+val post_hard_to :
+  t -> label:string -> tpkt:int -> 'a target -> 'a -> int -> unit
+(** [post_hard_to t ~label ~tpkt tgt v i] is
+    [post_hard t ~label ~tpkt ~cost:(stage t).(0) (fun () -> f v i)]
+    for the [f] that [tgt] registers. *)
+
+val post_soft_to :
+  t -> label:string -> tpkt:int -> poll:bool -> 'a target -> 'a -> int ->
+  unit
+(** The software-interrupt counterpart of {!post_hard_to}. *)
+
 val set_account : t -> Proc.t -> owner:Proc.t option -> unit
 (** Redirect scheduler charging for a process (LRP's APP thread runs at its
     owning process's priority and charges CPU to it). *)

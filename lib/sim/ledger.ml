@@ -32,12 +32,14 @@ type prow = { mutable p_name : string; pcols : float array }
 
 type t = {
   totals : float array;                  (* 5 class totals, us *)
+  cell : float array;                    (* 1-slot staging cell for [charge] *)
   pids : (int, prow) Hashtbl.t;          (* pid -> columns; -1 = idle ctx *)
   flows : (int, float array) Hashtbl.t;  (* flow/channel id -> columns *)
 }
 
 let create () =
   { totals = Array.make 5 0.;
+    cell = [| 0. |];
     pids = Hashtbl.create 17;
     flows = Hashtbl.create 17 }
 
@@ -46,8 +48,10 @@ let prow t pid =
   | r -> r
   | exception Not_found ->
       let r =
+        (* alloc: cold — first sighting of a pid *)
         { p_name = (if pid < 0 then "(idle)" else "?"); pcols = Array.make 5 0. }
       in
+      (* alloc: cold — first sighting of a pid *)
       Hashtbl.add t.pids pid r;
       r
 
@@ -55,13 +59,18 @@ let frow t flow =
   match Hashtbl.find t.flows flow with
   | c -> c
   | exception Not_found ->
+      (* alloc: cold — first sighting of a flow *)
       let c = Array.make 5 0. in
+      (* alloc: cold — first sighting of a flow *)
       Hashtbl.add t.flows flow c;
       c
 
 let set_name t ~pid name = (prow t pid).p_name <- name
 
-let charge t cls ~pid ~flow d =
+(* The charge is read from [cell.(0)]: a float passed as an argument is
+   boxed at the call, a float-array slot is not. *)
+let charge_cell t cls ~pid ~flow cell =
+  let d = cell.(0) in
   if d > 0. then begin
     let i = idx cls in
     t.totals.(i) <- t.totals.(i) +. d;
@@ -72,6 +81,10 @@ let charge t cls ~pid ~flow d =
       c.(i) <- c.(i) +. d
     end
   end
+
+let charge t cls ~pid ~flow d =
+  t.cell.(0) <- d;
+  charge_cell t cls ~pid ~flow t.cell
 
 let total t cls = t.totals.(idx cls)
 

@@ -30,6 +30,11 @@ val charge : t -> cls -> pid:int -> flow:int -> float -> unit
 (** [charge t cls ~pid ~flow d] adds [d] microseconds.  [flow] is the
     served channel id, or [-1] for none (interrupt and plain app work). *)
 
+val charge_cell : t -> cls -> pid:int -> flow:int -> float array -> unit
+(** [charge_cell t cls ~pid ~flow cell] is [charge t cls ~pid ~flow
+    cell.(0)] without boxing the charge: the CPU model stages each
+    segment's cycles in a float cell and charges from it. *)
+
 val set_name : t -> pid:int -> string -> unit
 (** Attach a display name to a pid (done at spawn, so rows outlive their
     processes). *)

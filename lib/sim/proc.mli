@@ -28,7 +28,9 @@ type t = {
           covers 35 % of the L2 cache). *)
   mutable pending : pending;
   mutable work_left : float;
-  mutable k : (unit, unit) Effect.Deep.continuation option;
+  mutable k : (unit, unit) Effect.Deep.continuation;
+      (** the suspended body; meaningful only while [pending] is [Work],
+          [Resume] or [Blocked] (see {!no_k}) *)
   mutable exited : bool;
   mutable cpu_time : float;  (** total simulated CPU consumed, microseconds *)
   mutable overhead_time : float;
@@ -46,6 +48,10 @@ type t = {
           2 = NAPI poll work (set by {!Cpu.compute_poll}) *)
   mutable lflow : int;
       (** channel/flow id the current protocol segment serves, or [-1] *)
+  self_opt : t option;
+      (** [Some] of this very process, built once at spawn, so that
+          pointing an optional field at it (the CPU's [curproc]) stores
+          an existing block instead of allocating one *)
 }
 
 and pending =
@@ -55,13 +61,23 @@ and pending =
   | Blocked               (** waiting on a {!waitq} or timer *)
   | Done                  (** body returned *)
 
-and waitq = { wq_name : string; mutable waiters : t list }
+and waitq = {
+  wq_name : string;
+  mutable wq_procs : t array;
+      (** FIFO ring of sleepers; capacity zero or a power of two *)
+  mutable wq_head : int;
+  mutable wq_len : int;
+}
 
 type _ Effect.t +=
   | Compute : float -> unit Effect.t
   | Block : waitq -> unit Effect.t
   | Sleep : float -> unit Effect.t
   | Yield : unit Effect.t
+
+val no_k : (unit, unit) Effect.Deep.continuation
+(** Placeholder stored in [k] before a process first suspends and after
+    it is resumed.  It is never continued. *)
 
 val compute : float -> unit
 (** [compute d] consumes [d] simulated microseconds of CPU (no-op when
@@ -78,5 +94,11 @@ val yield : unit -> unit
 val waitq : string -> waitq
 (** Fresh empty wait queue. *)
 
-val waitq_remove : waitq -> t -> unit
-(** Remove a specific process from a wait queue (used by timed waits). *)
+val waitq_length : waitq -> int
+
+val waitq_push : waitq -> t -> unit
+(** Append a sleeper.  Allocation-free except when the ring grows. *)
+
+val waitq_pop : waitq -> t
+(** Remove and return the longest-waiting sleeper.  The queue must not be
+    empty. *)

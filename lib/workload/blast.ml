@@ -24,14 +24,29 @@ let start_source engine nic ~src ~dst:(dip, dport) ?(src_port = 7777)
     ~rate ~size ~until () =
   let t = { sent = 0; stop_at = until } in
   let interval = 1e6 /. rate in
+  (* Every datagram carries the same UDP header, payload and content
+     checksum (which excludes the IP ident), so they are built once; a
+     tick allocates only the IP header, with a fresh ident, and the packet
+     record.  The first ident is drawn on the first tick, as
+     [Packet.udp] would. *)
+  let body =
+    Packet.Udp
+      ({ Packet.usrc_port = src_port; udst_port = dport },
+       Payload.synthetic size)
+  in
+  let csum =
+    Packet.checksum
+      { Packet.ip = { src; dst = dip; ident = 0; ttl = 64; csum = 0 }; body }
+  in
   (* One event record and one thunk for the whole run: each firing re-arms
      the same handle instead of scheduling a fresh closure per packet. *)
   let handle = ref None in
   let tick () =
     if Engine.now engine < t.stop_at then begin
       let pkt =
-        Packet.udp ~src ~dst:dip ~src_port ~dst_port:dport
-          (Payload.synthetic size)
+        { Packet.ip =
+            { src; dst = dip; ident = Packet.next_ident (); ttl = 64; csum };
+          body }
       in
       ignore (Nic.transmit nic pkt);
       t.sent <- t.sent + 1;

@@ -240,14 +240,23 @@ let test_self_check () =
   in
   let findings, stats = Adriver.run ~root cfg in
   (* Guard against a silently-degenerate run: the live gate covers many
-     entry points, their transitive callees, and every cell-resident
-     function. *)
+     entry points, their transitive callees (through lib/sim and
+     lib/sched too: the CPU's post, dispatch, segment-end and wakeup
+     paths), and every cell-resident function. *)
   Alcotest.(check bool) "loaded a real build (.cmt count)" true
     (stats.Adriver.cmt_files >= 80);
   Alcotest.(check bool) "walked the hot paths" true
-    (stats.Adriver.funcs_analyzed >= 90);
+    (stats.Adriver.funcs_analyzed >= 160);
   Alcotest.(check bool) "escape-checked the cell dirs" true
-    (stats.Adriver.escape_funcs >= 500);
+    (stats.Adriver.escape_funcs >= 700);
+  Alcotest.(check bool) "follows the CPU layer" true
+    (List.mem "lib/sim" cfg.Aconfig.follow_dirs
+     && List.mem "lib/sched" cfg.Aconfig.follow_dirs
+     && List.for_all
+          (fun e -> List.mem e cfg.Aconfig.entries)
+          [ "Cpu.post_hard_to"; "Cpu.post_soft_to"; "Cpu.segment_done";
+            "Cpu.settle"; "Cpu.wakeup_one"; "Sched.pick_tid";
+            "Sched.should_preempt" ]);
   match findings with
   | [] -> ()
   | fs ->

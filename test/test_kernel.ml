@@ -309,8 +309,31 @@ let test_determinism () =
   let a = run () and b = run () in
   Alcotest.(check (triple int int int)) "identical runs" a b
 
+(* --- architecture names ---------------------------------------------------- *)
+
+(* Every constructor has a command-line key that parses back to it (the
+   CLI's [--arch] is built from this table).  [listed] is an exhaustive
+   match, so a new constructor fails to compile here until it is added. *)
+let test_arch_keys_round_trip () =
+  let listed = function
+    | Kernel.Bsd | Kernel.Soft_lrp | Kernel.Ni_lrp | Kernel.Early_demux
+    | Kernel.Napi | Kernel.Napi_gro | Kernel.Rss ->
+        ()
+  in
+  List.iter listed Kernel.archs;
+  Alcotest.(check int) "all seven constructors, once each" 7
+    (List.length (List.sort_uniq compare Kernel.archs));
+  List.iter
+    (fun a ->
+      let key = Kernel.arch_key a in
+      Alcotest.(check bool) (key ^ " round-trips") true
+        (Kernel.arch_of_key key = Some a))
+    Kernel.archs;
+  Alcotest.(check bool) "unknown key" true (Kernel.arch_of_key "lrp" = None)
+
 let suite =
-  [ Alcotest.test_case "icmp echo (all archs)" `Quick (for_all_archs test_icmp_echo);
+  [ Alcotest.test_case "arch keys round-trip" `Quick test_arch_keys_round_trip;
+    Alcotest.test_case "icmp echo (all archs)" `Quick (for_all_archs test_icmp_echo);
     Alcotest.test_case "udp fragmentation e2e (all archs)" `Quick
       (for_all_archs test_udp_fragmentation_e2e);
     Alcotest.test_case "fragments split across channels" `Quick

@@ -145,6 +145,28 @@ let test_account_redirection () =
     (Sched.priority app);
   Alcotest.(check int) "owner got the tick count" 120 (Sched.ticks_charged owner)
 
+(* [decay] walks threads newest first, like schedcpu() over the process
+   list: an APP thread created after its owner recomputes its priority
+   from the owner's usage before the owner itself decays.  The simulated
+   results depend on this order. *)
+let test_decay_walks_newest_first () =
+  let s = mk () in
+  let owner = Sched.add_thread s ~name:"owner" () in
+  let app = Sched.add_thread s ~name:"app" () in
+  Sched.set_account app (Some owner);
+  for _ = 1 to 40 do
+    Sched.charge_tick s owner
+  done;
+  let before = Sched.priority owner in
+  (* Nothing is runnable, so the load average is 0 and usage decays to
+     nothing. *)
+  Sched.decay s;
+  Alcotest.(check int) "owner's usage decayed" Sched.priority_user
+    (Sched.priority owner);
+  Alcotest.(check int) "app priced from the owner's pre-decay usage" before
+    (Sched.priority app);
+  Alcotest.(check bool) "the two differ" true (before > Sched.priority_user)
+
 let test_exit_thread () =
   let s = mk () in
   let a = Sched.add_thread s ~name:"a" () in
@@ -186,6 +208,8 @@ let prop_decay_monotone =
 
 let suite =
   [ Alcotest.test_case "fresh thread priority" `Quick test_new_thread_priority;
+    Alcotest.test_case "decay walks newest first" `Quick
+      test_decay_walks_newest_first;
     Alcotest.test_case "nice worsens priority" `Quick test_nice_worsens_priority;
     Alcotest.test_case "pick chooses best priority" `Quick test_pick_best_priority;
     Alcotest.test_case "FIFO among equal priorities" `Quick test_fifo_among_equals;

@@ -319,6 +319,162 @@ let test_zero_cost_work () =
   Engine.run eng ~until:(Time.ms 1.);
   Alcotest.(check bool) "zero-cost interrupt action ran" true !ran
 
+(* --- the per-level work ring ------------------------------------------- *)
+
+(* Posts that outgrow the 16-slot ring while its head sits mid-ring must
+   keep FIFO order: the ring first wraps its tail, then grows and unwraps
+   the pending items. *)
+let test_ring_wrap_and_growth () =
+  let eng, cpu = mk () in
+  let log = ref [] in
+  let post i =
+    Cpu.post_soft cpu ~cost:10. (fun () -> log := (i, Engine.now eng) :: !log)
+  in
+  let pending_after = ref (-1) in
+  ignore
+    (Engine.schedule eng ~at:0. (fun () ->
+         for i = 0 to 9 do
+           post i
+         done));
+  (* At 85 items 0-7 are done, 8 is running and 9 is pending at ring
+     index 9: 20 more posts wrap the tail, then force a growth. *)
+  ignore
+    (Engine.schedule eng ~at:85. (fun () ->
+         for i = 10 to 29 do
+           post i
+         done;
+         pending_after := Cpu.soft_pending cpu));
+  Engine.run eng ~until:(Time.ms 1.);
+  Alcotest.(check int) "pending past the initial capacity" 21 !pending_after;
+  Alcotest.(check (list (pair int (float 1e-6))))
+    "FIFO completion, back to back"
+    (List.init 30 (fun i -> (i, float_of_int ((i + 1) * 10))))
+    (List.rev !log);
+  Alcotest.(check int) "ring drained" 0 (Cpu.soft_pending cpu)
+
+(* Hard work arriving mid-soft preempts it; the preempted item goes back
+   at the head of its level, ahead of soft work posted before it. *)
+let test_preempted_item_resumes_first () =
+  let eng, cpu = mk () in
+  let log = ref [] in
+  let note name () = log := (name, Engine.now eng) :: !log in
+  ignore
+    (Engine.schedule eng ~at:0. (fun () ->
+         Cpu.post_soft cpu ~cost:100. (note "a");
+         Cpu.post_soft cpu ~cost:100. (note "b")));
+  ignore
+    (Engine.schedule eng ~at:50. (fun () ->
+         Cpu.post_hard cpu ~cost:10. (note "h1");
+         Cpu.post_hard cpu ~cost:10. (note "h2")));
+  Engine.run eng ~until:(Time.ms 1.);
+  Alcotest.(check (list (pair string (float 1e-6))))
+    "hard work in order, then the preempted soft item, then the rest"
+    [ ("h1", 60.); ("h2", 70.); ("a", 120.); ("b", 220.) ]
+    (List.rev !log);
+  Alcotest.(check int) "a dispatched twice, b once" 3
+    (Cpu.softirq_dispatches cpu);
+  Alcotest.(check int) "hard dispatches" 2 (Cpu.hardirq_dispatches cpu);
+  Alcotest.(check (float 1e-6)) "soft time" 200. (Cpu.time_soft cpu);
+  Alcotest.(check (float 1e-6)) "hard time" 20. (Cpu.time_hard cpu)
+
+(* Closure posts and typed posts share one FIFO per level. *)
+let test_closure_and_typed_posts_interleave () =
+  let eng, cpu = mk () in
+  let log = ref [] in
+  let tgt = Cpu.target cpu (fun name i -> log := (name ^ string_of_int i, Engine.now eng) :: !log) in
+  let typed i =
+    (Cpu.stage cpu).(0) <- 5.;
+    Cpu.post_soft_to cpu ~label:"typed" ~tpkt:(-1) ~poll:false tgt "t" i
+  in
+  let closure i =
+    Cpu.post_soft cpu ~cost:5. (fun () ->
+        log := ("c" ^ string_of_int i, Engine.now eng) :: !log)
+  in
+  ignore
+    (Engine.schedule eng ~at:0. (fun () ->
+         closure 0;
+         typed 1;
+         closure 2;
+         typed 3;
+         typed 4;
+         closure 5));
+  ignore
+    (Engine.schedule eng ~at:100. (fun () ->
+         (Cpu.stage cpu).(0) <- 7.;
+         Cpu.post_hard_to cpu ~label:"typed-hard" ~tpkt:(-1) tgt "h" 6));
+  Engine.run eng ~until:(Time.ms 1.);
+  Alcotest.(check (list (pair string (float 1e-6))))
+    "posting order, each item's own cost"
+    [ ("c0", 5.); ("t1", 10.); ("c2", 15.); ("t3", 20.); ("t4", 25.);
+      ("c5", 30.); ("h6", 107.) ]
+    (List.rev !log);
+  Alcotest.(check (float 1e-6)) "typed hard cost charged" 7. (Cpu.time_hard cpu)
+
+(* Time conservation: every elapsed microsecond is hard, soft, user or
+   idle, with interrupts preempting processes and each other. *)
+let test_time_conservation () =
+  let eng, cpu = mk () in
+  ignore
+    (Cpu.spawn cpu ~name:"spin" (fun _ ->
+         for _ = 1 to 40 do
+           Proc.compute 300.
+         done));
+  ignore
+    (Cpu.spawn cpu ~name:"nap" (fun _ ->
+         for _ = 1 to 10 do
+           Proc.compute 50.;
+           Proc.sleep_for 700.
+         done));
+  for i = 0 to 99 do
+    ignore
+      (Engine.schedule eng ~at:(float_of_int (i * 173)) (fun () ->
+           Cpu.post_hard cpu ~cost:20. (fun () ->
+               Cpu.post_soft cpu ~cost:45. (fun () -> ()))))
+  done;
+  let until = Time.ms 40. in
+  Engine.run eng ~until;
+  let sum =
+    Cpu.time_hard cpu +. Cpu.time_soft cpu +. Cpu.time_user cpu
+    +. Cpu.time_idle cpu
+  in
+  Alcotest.(check (float 1e-6)) "hard + soft + user + idle = elapsed" until sum;
+  Alcotest.(check bool) "every level ran" true
+    (Cpu.time_hard cpu > 0. && Cpu.time_soft cpu > 0.
+     && Cpu.time_user cpu > 0. && Cpu.time_idle cpu > 0.)
+
+(* Steady state of the typed path: post, dispatch, segment end, action.
+   Counted exactly with [Gc.minor_words] deltas after a warm-up, as the
+   perf baseline does. *)
+let typed_loop_words ~soft =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~start_clock:false ~name:"host" () in
+  let hits = ref 0 in
+  let tgt = Cpu.target cpu (fun (_ : unit) i -> hits := !hits + i) in
+  let cycle () =
+    (Cpu.stage cpu).(0) <- 3.;
+    if soft then
+      Cpu.post_soft_to cpu ~label:"rx" ~tpkt:7 ~poll:false tgt () 1
+    else Cpu.post_hard_to cpu ~label:"rx" ~tpkt:7 tgt () 1;
+    ignore (Engine.step eng)
+  in
+  for _ = 1 to 20_000 do
+    cycle ()
+  done;
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    cycle ()
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every item ran" (20_000 + n) !hits;
+  dw /. float_of_int n
+
+let test_typed_post_allocates_nothing () =
+  Alcotest.(check (float 0.)) "hard: words per item" 0.
+    (typed_loop_words ~soft:false);
+  Alcotest.(check (float 0.)) "soft: words per item" 0.
+    (typed_loop_words ~soft:true)
+
 let suite =
   [ Alcotest.test_case "single compute" `Quick test_single_compute;
     Alcotest.test_case "sequential computes" `Quick test_sequential_computes;
@@ -341,4 +497,14 @@ let suite =
     Alcotest.test_case "join on exited process" `Quick test_join_exited;
     Alcotest.test_case "yield round-robins" `Quick test_yield_round_robin;
     Alcotest.test_case "idle time accounting" `Quick test_idle_time;
-    Alcotest.test_case "zero-cost interrupt work" `Quick test_zero_cost_work ]
+    Alcotest.test_case "zero-cost interrupt work" `Quick test_zero_cost_work;
+    Alcotest.test_case "work ring wraps and grows in FIFO order" `Quick
+      test_ring_wrap_and_growth;
+    Alcotest.test_case "preempted item resumes first" `Quick
+      test_preempted_item_resumes_first;
+    Alcotest.test_case "closure and typed posts interleave" `Quick
+      test_closure_and_typed_posts_interleave;
+    Alcotest.test_case "hard + soft + user + idle = elapsed" `Quick
+      test_time_conservation;
+    Alcotest.test_case "typed post cycle allocates nothing" `Quick
+      test_typed_post_allocates_nothing ]
