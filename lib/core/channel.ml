@@ -141,11 +141,13 @@ let extract t pred =
   let n = t.count in
   let out = ref [] in
   let kept = ref 0 in
+  (* alloc: cold — fragment reassembly fishes the fragment channel *)
   let keep = Array.make (max 1 n) Parena.none in
   for i = 0 to n - 1 do
     let h = t.ring.((t.head + i) mod cap) in
     let p = Parena.pkt t.arena h in
     if pred p then begin
+      (* alloc: cold — fragment reassembly fishes the fragment channel *)
       out := p :: !out;
       Parena.release t.arena h
     end
@@ -158,6 +160,7 @@ let extract t pred =
   Array.blit keep 0 t.ring 0 !kept;
   t.head <- 0;
   t.count <- !kept;
+  (* alloc: cold — fragment reassembly fishes the fragment channel *)
   List.rev !out
 
 let request_interrupt t = t.intr_requested <- true

@@ -182,6 +182,7 @@ let channel_of_slot t slot =
   if slot >= 0 then Flowtab.value t.tab slot
   else if slot = slot_frag then t.frag
   else if slot = slot_icmp then t.icmp
+  (* alloc: cold — error raise *)
   else invalid_arg "Chantab.channel_of_slot: no channel for slot_none"
 
 let resolve_packet t pkt =

@@ -125,7 +125,9 @@ let scheduled_wheel t = t.n_wheel
 let scheduled_heap t = t.n_heap
 let skipped_at_pour t = t.n_skipped
 
-let bucket_push b ~key ~seq v =
+(* The key arrives in [cell.(0)]: a float argument of a call that is not
+   inlined is boxed. *)
+let bucket_push b ~cell ~seq v =
   let cap = Array.length b.bseqs in
   if b.blen = cap then begin
     let cap' = max 8 (2 * cap) in
@@ -139,7 +141,7 @@ let bucket_push b ~key ~seq v =
     b.bseqs <- bseqs;
     b.bvals <- bvals
   end;
-  b.bkeys.(b.blen) <- key;
+  b.bkeys.(b.blen) <- cell.(0);
   b.bseqs.(b.blen) <- seq;
   b.bvals.(b.blen) <- v;
   b.blen <- b.blen + 1
@@ -178,7 +180,7 @@ let[@inline] place_cell t ~seq v =
     t.n_wheel <- t.n_wheel + 1;
     t.wheel_count <- t.wheel_count + 1;
     t.lcounts.(level) <- t.lcounts.(level) + 1;
-    bucket_push t.wheels.(level).(index) ~key ~seq v
+    bucket_push t.wheels.(level).(index) ~cell:t.cell ~seq v
   end
 
 (* [add_cell t v] assigns the event its global sequence rank and routes

@@ -1,7 +1,7 @@
 (** Socket system calls.
 
     Every function here runs in simulated process context (inside a
-    {!Lrp_sim.Proc} coroutine) and charges CPU through {!Lrp_sim.Proc.compute}.
+    {!Lrp_sim.Proc} coroutine) and charges CPU through {!Lrp_sim.Cpu.compute}.
     This is where the architectural difference on the receive path is most
     visible:
 
@@ -29,6 +29,9 @@ type dgram = Socket.udp_datagram = {
 exception Socket_closed
 
 let c (k : Kernel.t) = Kernel.costs k
+
+(* Charge [d] microseconds to the calling process. *)
+let compute k d = Cpu.compute (Kernel.cpu k) d
 
 (* Number of IP fragments a datagram of [bytes] payload needs. *)
 let frag_count (k : Kernel.t) ~header ~bytes =
@@ -152,7 +155,7 @@ let sendto k ~(self : Proc.t) (sock : Socket.t) ~dst:(dip, dport) payload =
   in
   let len = Payload.length payload in
   let frags = frag_count k ~header:Packet.udp_header_bytes ~bytes:len in
-  Proc.compute
+  compute k
     ((c k).Cost.syscall
      +. ((c k).Cost.copy_per_byte *. float_of_int len)
      +. Kernel.udp_send_cost k ~frags);
@@ -174,70 +177,98 @@ let udp_connect _k (sock : Socket.t) ~remote = sock.Socket.remote <- Some remote
 (* UDP receive                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Copy the oldest ready datagram out to the caller: the dequeue, the
+   per-byte copy and the mbuf free.  Leaves its fields in the socket's
+   [last_*] slots.  The queue must not be empty. *)
 let pop_ready k (sock : Socket.t) =
-  match Queue.take_opt sock.Socket.udp_rcv with
-  | None -> None
-  | Some dg ->
-      let len = Payload.length dg.Socket.dg_payload in
-      let dequeue_cost =
-        (* BSD dequeues from the socket buffer, walking and freeing the
-           mbuf chain; LRP's ready queue is a plain channel-style queue. *)
-        if Kernel.lrp_mode k then (c k).Cost.sockq
-        else (c k).Cost.sockbuf_op +. (c k).Cost.mbuf_free
-      in
-      Proc.compute
-        (dequeue_cost +. ((c k).Cost.copy_per_byte *. float_of_int len));
-      (* The copyout frees the mbuf chain: by the handle carried from the
-         driver's allocation when the datagram has one, else by its wire
-         footprint (non-fragment UDP: IP + UDP headers + payload). *)
-      Kernel.free_rx_pkt k ~mh:dg.Socket.dg_mbuf
-        (len + Packet.ip_header_bytes + Packet.udp_header_bytes);
-      sock.Socket.stats.Socket.rx_delivered <-
-        sock.Socket.stats.Socket.rx_delivered + 1;
-      Lrp_trace.Trace.syscall_copyout (Kernel.tracer k)
-        ~pkt:dg.Socket.dg_pkt ~sock:sock.Socket.id ~bytes:len;
-      Some dg
+  Socket.pop_udp sock;
+  let payload = sock.Socket.last_payload in
+  let src = sock.Socket.last_src and sport = sock.Socket.last_sport in
+  let ident = sock.Socket.last_ident and mh = sock.Socket.last_mbuf in
+  let len = Payload.length payload in
+  let cpu = Kernel.cpu k in
+  (* BSD dequeues from the socket buffer, walking and freeing the mbuf
+     chain; LRP's ready queue is a plain channel-style queue. *)
+  (Cpu.stage cpu).(0) <-
+    (if Kernel.lrp_mode k then (c k).Cost.sockq
+     else (c k).Cost.sockbuf_op +. (c k).Cost.mbuf_free)
+    +. ((c k).Cost.copy_per_byte *. float_of_int len);
+  Cpu.compute_staged cpu;
+  (* The copyout frees the mbuf chain: by the handle carried from the
+     driver's allocation when the datagram has one, else by its wire
+     footprint (non-fragment UDP: IP + UDP headers + payload). *)
+  Kernel.free_rx_pkt k ~mh
+    (len + Packet.ip_header_bytes + Packet.udp_header_bytes);
+  sock.Socket.stats.Socket.rx_delivered <-
+    sock.Socket.stats.Socket.rx_delivered + 1;
+  Lrp_trace.Trace.syscall_copyout (Kernel.tracer k) ~pkt:ident
+    ~sock:sock.Socket.id ~bytes:len;
+  (* Another receiver on the socket may have popped while this one was
+     charged: put this datagram's fields back in the [last_*] slots. *)
+  sock.Socket.last_payload <- payload;
+  sock.Socket.last_src <- src;
+  sock.Socket.last_sport <- sport;
+  sock.Socket.last_ident <- ident;
+  sock.Socket.last_mbuf <- mh
 
-(* [recvfrom k ~self sock] blocks until a datagram is available and returns
-   it.  Under LRP, performs the protocol processing lazily here. *)
-let recvfrom k ~(self : Proc.t) (sock : Socket.t) =
+(* LRP: take a raw packet off the socket's NI channel and process it now,
+   in the receiver's own context.  Returns [false] when the channel is
+   empty. *)
+let process_raw k ch =
+  let pkt = Channel.pop ch in
+  if pkt == Packet.null then false
+  else begin
+    let whole = Kernel.lrp_process_udp_raw k ch pkt in
+    if whole != Packet.null then
+      Kernel.deliver_udp_ready k whole ~mh:Mbuf.no_handle;
+    true
+  end
+
+(* One step of waiting for a ready datagram: under LRP, process a raw
+   packet from the socket's NI channel, or ask for an interrupt and block
+   when there is none; otherwise block. *)
+let wait_step k (sock : Socket.t) =
+  match sock.Socket.chan with
+  | Some ch when Kernel.lrp_mode k ->
+      if not (process_raw k ch) then begin
+        Channel.request_interrupt ch;
+        Proc.block sock.Socket.recv_wait
+      end
+  | Some _ | None -> Proc.block sock.Socket.recv_wait
+
+(* Block until the socket has a ready datagram. *)
+let rec await_ready k (sock : Socket.t) =
+  if sock.Socket.closed then raise Socket_closed;
+  if Socket.ready_count sock = 0 then begin
+    wait_step k sock;
+    await_ready k sock
+  end
+
+(* [recv k ~self sock] blocks until a datagram is available and copies it
+   out, leaving its fields in the socket's [last_*] slots instead of
+   building a record.  Under LRP, performs the protocol processing lazily
+   here. *)
+let recv k ~(self : Proc.t) (sock : Socket.t) =
   ignore self;
   if sock.Socket.kind <> Socket.Dgram then
+    (* alloc: cold — error raise *)
     invalid_arg "Api.recvfrom: datagram sockets only";
-  Proc.compute (c k).Cost.syscall;
-  let rec loop () =
-    if sock.Socket.closed then raise Socket_closed;
-    match pop_ready k sock with
-    | Some dg -> dg
-    | None ->
-        (match sock.Socket.chan with
-         | Some ch when Kernel.lrp_mode k ->
-             (* LRP: take a raw packet off the NI channel and process it
-                now, in our own context. *)
-             (let pkt = Channel.pop ch in
-              if pkt != Packet.null then begin
-                let completed =
-                  Kernel.lrp_process_udp_raw k ~charge:(Kernel.proto_charge k ch) pkt
-                in
-                List.iter (Kernel.deliver_udp_ready k) completed;
-                loop ()
-              end
-              else begin
-                Channel.request_interrupt ch;
-                Proc.block sock.Socket.recv_wait;
-                loop ()
-              end)
-         | Some _ | None ->
-             Proc.block sock.Socket.recv_wait;
-             loop ())
-  in
-  loop ()
+  let cpu = Kernel.cpu k in
+  (Cpu.stage cpu).(0) <- (c k).Cost.syscall;
+  Cpu.compute_staged cpu;
+  await_ready k sock;
+  pop_ready k sock
+
+(* [recvfrom k ~self sock] is [recv] returning the datagram. *)
+let recvfrom k ~self sock =
+  recv k ~self sock;
+  Socket.last_datagram sock
 
 (* [recvfrom_timeout k ~self sock ~timeout] is [recvfrom] with a deadline:
    [None] if no datagram arrived in time. *)
 let recvfrom_timeout k ~(self : Proc.t) (sock : Socket.t) ~timeout =
   ignore self;
-  Proc.compute (c k).Cost.syscall;
+  compute k (c k).Cost.syscall;
   let engine = Kernel.engine k in
   let deadline = Lrp_engine.Engine.now engine +. timeout in
   let expired = ref false in
@@ -253,54 +284,34 @@ let recvfrom_timeout k ~(self : Proc.t) (sock : Socket.t) ~timeout =
   in
   let rec loop () =
     if sock.Socket.closed then finish None
-    else
-      match pop_ready k sock with
-      | Some dg -> finish (Some dg)
-      | None ->
-          if !expired then finish None
-          else
-            (match sock.Socket.chan with
-             | Some ch when Kernel.lrp_mode k ->
-                 (let pkt = Lrp_core.Channel.pop ch in
-                  if pkt != Packet.null then begin
-                    let completed =
-                      Kernel.lrp_process_udp_raw k ~charge:(Kernel.proto_charge k ch) pkt
-                    in
-                    List.iter (Kernel.deliver_udp_ready k) completed;
-                    loop ()
-                  end
-                  else begin
-                    Lrp_core.Channel.request_interrupt ch;
-                    Proc.block sock.Socket.recv_wait;
-                    loop ()
-                  end)
-             | Some _ | None ->
-                 Proc.block sock.Socket.recv_wait;
-                 loop ())
+    else if Socket.ready_count sock > 0 then begin
+      pop_ready k sock;
+      finish (Some (Socket.last_datagram sock))
+    end
+    else if !expired then finish None
+    else begin
+      wait_step k sock;
+      loop ()
+    end
   in
   loop ()
 
 (* Non-blocking variant: [None] when nothing is available right now. *)
 let try_recvfrom k ~(self : Proc.t) (sock : Socket.t) =
   ignore self;
-  Proc.compute (c k).Cost.syscall;
+  compute k (c k).Cost.syscall;
   let rec drain_chan () =
-    match sock.Socket.chan with
-    | Some ch when Kernel.lrp_mode k ->
-        (let pkt = Channel.pop ch in
-         if pkt != Packet.null then begin
-           let completed =
-             Kernel.lrp_process_udp_raw k ~charge:(Kernel.proto_charge k ch) pkt
-           in
-           List.iter (Kernel.deliver_udp_ready k) completed;
-           match pop_ready k sock with
-           | Some dg -> Some dg
-           | None -> drain_chan ()
-         end
-         else None)
-    | Some _ | None -> None
+    if Socket.ready_count sock > 0 then begin
+      pop_ready k sock;
+      Some (Socket.last_datagram sock)
+    end
+    else
+      match sock.Socket.chan with
+      | Some ch when Kernel.lrp_mode k ->
+          if process_raw k ch then drain_chan () else None
+      | Some _ | None -> None
   in
-  match pop_ready k sock with Some dg -> Some dg | None -> drain_chan ()
+  drain_chan ()
 
 (* ------------------------------------------------------------------ *)
 (* TCP                                                                  *)
@@ -311,7 +322,7 @@ let tcp_listen k ~(self : Proc.t) (sock : Socket.t) ~port ~backlog =
     invalid_arg "Api.tcp_listen: stream sockets only";
   if Hashtbl.mem k.Kernel.tcp_listeners port then
     invalid_arg "Api.tcp_listen: port in use";
-  Proc.compute (c k).Cost.syscall;
+  compute k (c k).Cost.syscall;
   let cfg = Kernel.config k in
   let listener =
     Tcp.create_listener (Kernel.tcp_env_exn k) ~local_ip:(Kernel.ip_address k)
@@ -349,13 +360,13 @@ let conn_exn (sock : Socket.t) =
    available and returns a fresh socket for it, owned by [self]. *)
 let tcp_accept k ~(self : Proc.t) (sock : Socket.t) =
   let listener = listener_exn sock in
-  Proc.compute (c k).Cost.syscall;
+  compute k (c k).Cost.syscall;
   let rec loop () =
     if sock.Socket.closed then raise Socket_closed;
     match Tcp.accept_pop listener with
     | Some conn ->
         Kernel.update_listen_gate k listener;
-        Proc.compute (c k).Cost.sockq;
+        compute k (c k).Cost.sockq;
         let ns = Socket.create Socket.Stream in
         ns.Socket.port <- sock.Socket.port;
         ns.Socket.remote <- conn.Tcp.remote;
@@ -377,7 +388,7 @@ let tcp_connect k ~(self : Proc.t) (sock : Socket.t) ~remote =
     invalid_arg "Api.tcp_connect: stream sockets only";
   let cfg = Kernel.config k in
   let local_port = Kernel.fresh_port k in
-  Proc.compute ((c k).Cost.syscall +. Kernel.seg_out_cost k);
+  compute k ((c k).Cost.syscall +. Kernel.seg_out_cost k);
   let conn =
     Tcp.create_active (Kernel.tcp_env_exn k) ~local_ip:(Kernel.ip_address k)
       ~local_port ~remote ~sndq_limit:cfg.Kernel.sock_buf
@@ -406,13 +417,13 @@ let tcp_connect k ~(self : Proc.t) (sock : Socket.t) ~remote =
 let tcp_send k ~(self : Proc.t) (sock : Socket.t) payload =
   ignore self;
   let conn = conn_exn sock in
-  Proc.compute (c k).Cost.syscall;
+  compute k (c k).Cost.syscall;
   let rec push payload =
     let before = conn.Tcp.segs_sent in
     match Tcp.send conn payload with
     | `Sent n ->
         let emitted = conn.Tcp.segs_sent - before in
-        Proc.compute
+        compute k
           (((c k).Cost.copy_per_byte *. float_of_int n)
            +. (float_of_int emitted *. Kernel.seg_out_cost k));
         let len = Payload.length payload in
@@ -428,13 +439,13 @@ let tcp_send k ~(self : Proc.t) (sock : Socket.t) payload =
 let tcp_recv k ~(self : Proc.t) (sock : Socket.t) ~max =
   ignore self;
   let conn = conn_exn sock in
-  Proc.compute (c k).Cost.syscall;
+  compute k (c k).Cost.syscall;
   let rec loop () =
     let before = conn.Tcp.segs_sent in
     match Tcp.recv conn ~max with
     | `Data payload ->
         let emitted = conn.Tcp.segs_sent - before in
-        Proc.compute
+        compute k
           ((c k).Cost.sockq
            +. ((c k).Cost.copy_per_byte
                *. float_of_int (Payload.length payload))
@@ -462,7 +473,7 @@ let set_owner k (sock : Socket.t) ~(owner : Proc.t) =
 let close k ~(self : Proc.t) (sock : Socket.t) =
   ignore self;
   if not sock.Socket.closed then begin
-    Proc.compute (c k).Cost.syscall;
+    compute k (c k).Cost.syscall;
     sock.Socket.closed <- true;
     (match sock.Socket.kind with
      | Socket.Dgram ->
@@ -506,7 +517,7 @@ let close k ~(self : Proc.t) (sock : Socket.t) =
                 Tcp.close conn;
                 let emitted = conn.Tcp.segs_sent - before in
                 if emitted > 0 then
-                  Proc.compute
+                  compute k
                     (float_of_int emitted *. Kernel.seg_out_cost k)
               end
           | None -> ()));

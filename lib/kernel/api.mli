@@ -87,15 +87,23 @@ val udp_connect : 'a -> Socket.t -> remote:Lrp_net.Packet.ip * int -> unit
     any other source are silently discarded (BSD connected-UDP
     semantics). *)
 
-val pop_ready : Kernel.t -> Socket.t -> Socket.udp_datagram option
-(** Dequeue an already-processed datagram from the socket queue, charging
-    the dequeue + copy.  Internal building block of the receive calls. *)
+val pop_ready : Kernel.t -> Socket.t -> unit
+(** Dequeue the oldest already-processed datagram from the socket queue
+    into the socket's [last_*] fields, charging the dequeue + copy.  The
+    queue must not be empty.  Internal building block of the receive
+    calls. *)
+
+val recv : Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> unit
+(** Block until a datagram is available and copy it out, leaving its
+    fields in the socket's [last_*] fields instead of building a record
+    (a discard server's receive).  Under LRP this is where protocol
+    processing happens: raw packets are taken off the NI channel and run
+    through IP/UDP in the caller's context.  Allocation-free in steady
+    state. *)
 
 val recvfrom :
   Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> Socket.udp_datagram
-(** Block until a datagram is available.  Under LRP this is where protocol
-    processing happens: raw packets are taken off the NI channel and run
-    through IP/UDP in the caller's context. *)
+(** {!recv}, returning the datagram as a record. *)
 
 val recvfrom_timeout :
   Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> timeout:float ->

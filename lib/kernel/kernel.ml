@@ -155,12 +155,6 @@ type app = {
   chan_pending : (int, unit) Hashtbl.t;  (* channel ids with a queued job *)
 }
 
-(* One entry of a poll batch: a packet ready for eager protocol
-   processing, its mbuf reservation (made at dequeue time, as the driver
-   would), and whether it is an IP fragment (fragments stay on byte
-   accounting; see [bsd_driver_rx]). *)
-type poll_item = { pi_pkt : Packet.t; pi_mh : Mbuf.handle; pi_frag : bool }
-
 (* Per-receive-queue NAPI poll context (Napi / Napi_gro / Rss).  [poll_on]
    is the NAPI "scheduled" bit: set from the mitigated interrupt until the
    ring truly drains, so at most one poll chain runs per queue.  [episode]
@@ -169,19 +163,40 @@ type poll_item = { pi_pkt : Packet.t; pi_mh : Mbuf.handle; pi_frag : bool }
    polling is handed to the queue's ksoftirqd process, which repolls under
    the fair scheduler until the ring drains — the mechanism that keeps a
    sane budget out of livelock (poll cycles compete with applications
-   instead of preempting them). *)
+   instead of preempting them).
+
+   A poll round's batch lives in the queue's record as parallel columns
+   (packet, mbuf reservation made at dequeue time as the driver would,
+   fragment flag: fragments stay on byte accounting, see [bsd_driver_rx])
+   sized to the most frames one round can dequeue, so collecting and
+   delivering a batch stores into existing slots.  A held GRO train is
+   the index range [b_len, b_len + tr_len) of the packet column, just
+   past the committed items.  The softirq chain and ksoftirqd never poll
+   one queue at the same time (ksoftirqd only runs once the chain has
+   handed over, and the chain only restarts once ksoftirqd has given the
+   queue back to interrupt mode), so one batch per queue serves both. *)
 type napi = {
   nq : int;                              (* receive-queue index *)
   mutable poll_on : bool;
   mutable episode : int;                 (* packets served this episode *)
-  mutable last_poll : float;             (* when the last poll round ended *)
+  nf : float array;
+      (* [nf_last_poll]: when the last poll round ended; [nf_cost]: CPU
+         cost of the batch being collected *)
   mutable in_ksoftirqd : bool;
   ksoftirqd_wq : Proc.waitq;
   mutable ksoftirqd : Proc.t option;
-  mutable batch : poll_item list;
-      (* the collected batch its delivery work item will process *)
-  mutable batch_served : int;
+  b_pkt : Packet.t array;
+  b_mh : int array;
+  b_frag : bool array;
+  mutable b_len : int;                   (* items in the batch *)
+  mutable b_served : int;                (* frames the round dequeued *)
+  mutable tr_len : int;                  (* frames in the held GRO train *)
+  mutable tr_udp : bool;
+  mutable tr_next_seq : int;             (* next in-order TCP sequence *)
 }
+
+let nf_last_poll = 0
+let nf_cost = 1
 
 (* Typed CPU work handlers for the per-packet receive path (see
    {!Cpu.post_hard_to}): each post stores a handler, one argument and
@@ -302,27 +317,28 @@ let channels t = t.all_channels
 let lrp_mode t = is_lrp t.cfg.arch
 let now t = Engine.now t.engine
 
+(* Interface-list walks are top-level recursions, so answering a
+   per-packet "is this ours?" builds no closure. *)
+let rec has_addr addr = function
+  | [] -> false
+  | (ip, _, _) :: rest -> ip = addr || has_addr addr rest
+
 (* Is [addr] one of this host's own addresses? *)
-let is_local_addr t addr =
-  List.exists (fun (ip, _, _) -> ip = addr) t.interfaces
+let is_local_addr t addr = has_addr addr t.interfaces
+
+(* The longest matching prefix wins; on equal lengths the first listed
+   interface does. *)
+let rec best_route dst best best_len = function
+  | [] -> best
+  | (ip, masklen, nic) :: rest ->
+      if masklen > 0 && masklen > best_len
+         && ip lsr (32 - masklen) = dst lsr (32 - masklen)
+      then best_route dst nic masklen rest
+      else best_route dst best best_len rest
 
 (* Longest-prefix-match routing across this host's interfaces; the primary
    interface is the default route. *)
-let route t dst =
-  let matches (ip, masklen, _) =
-    masklen > 0 && ip lsr (32 - masklen) = dst lsr (32 - masklen)
-  in
-  let best =
-    List.fold_left
-      (fun acc ((_, masklen, _) as entry) ->
-        if matches entry then
-          match acc with
-          | Some (_, best_len, _) when best_len >= masklen -> acc
-          | Some _ | None -> Some entry
-        else acc)
-      None t.interfaces
-  in
-  match best with Some (_, _, nic) -> nic | None -> t.nic
+let route t dst = best_route dst t.nic 0 t.interfaces
 
 (* Forget a deallocated channel (reporting list). *)
 let drop_channel t chid =
@@ -340,9 +356,12 @@ let metrics t = t.metrics
 let set_tracing t on = Trace.set_enabled t.tracer on
 let tracing t = Trace.enabled t.tracer
 
+(* Only the TCP and APP-thread paths write notes. *)
 let trc t fmt =
   if Trace.enabled t.tracer then
+    (* alloc: cold — TCP/APP-thread notes, formatted only when tracing *)
     Printf.ksprintf (fun s -> Trace.note t.tracer s) fmt
+  (* alloc: cold — TCP/APP-thread notes: the format consumes its arguments *)
   else Printf.ifprintf () fmt
 
 let tcp_env_exn t =
@@ -460,7 +479,8 @@ let rec app_loop t app =
              (Channel.id ch) (Channel.length ch);
            drain_tcp_channel t ch
        | Jtimer f ->
-           Cpu.compute_proto t.cpu (t.c.Cost.lazy_locality *. t.c.Cost.tcp_in);
+           (Cpu.stage t.cpu).(0) <- t.c.Cost.lazy_locality *. t.c.Cost.tcp_in;
+           Cpu.compute_proto t.cpu ~flow:(-1);
            f ());
       app_loop t app
   | None ->
@@ -476,11 +496,12 @@ let rec app_loop t app =
 and drain_tcp_channel t ch =
   let pkt = Channel.pop ch in
   if pkt != Packet.null then begin
-    Cpu.compute_proto t.cpu ~flow:(Channel.id ch)
-      ((match t.cfg.arch with
-        | Ni_lrp -> t.c.Cost.ni_channel_access
-        | Bsd | Soft_lrp | Early_demux | Napi | Napi_gro | Rss -> 0.)
-       +. (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)));
+    (Cpu.stage t.cpu).(0) <-
+      (match t.cfg.arch with
+       | Ni_lrp -> t.c.Cost.ni_channel_access
+       | Bsd | Soft_lrp | Early_demux | Napi | Napi_gro | Rss -> 0.)
+      +. (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in));
+    Cpu.compute_proto t.cpu ~flow:(Channel.id ch);
     (match Hashtbl.find_opt t.chan_conn (Channel.id ch) with
      | None -> () (* connection vanished: discard *)
      | Some conn ->
@@ -504,7 +525,9 @@ and tcp_deliver t conn pkt ~ctx =
     if extra > 0 then begin
       let cost = float_of_int extra *. seg_out_cost t in
       match ctx with
-      | `Proc -> Cpu.compute_proto t.cpu (t.c.Cost.lazy_locality *. cost)
+      | `Proc ->
+          (Cpu.stage t.cpu).(0) <- t.c.Cost.lazy_locality *. cost;
+          Cpu.compute_proto t.cpu ~flow:(-1)
       | `Soft -> Cpu.post_soft t.cpu ~label:"tcp-tx" ~cost (fun () -> ())
     end
   end
@@ -604,6 +627,22 @@ let register_conn t conn ~owner =
         t.all_channels <- ch :: t.all_channels
       end
 
+(* A registered connection owns exactly one channel: [register_conn]
+   creates it together with the connection, each connection is registered
+   once, and [conn_chan] records it.  Deallocating it is therefore a
+   lookup, not a scan of every open channel.  A second call (TIME_WAIT
+   teardown under NI-LRP, then the close) finds it already gone from
+   [chan_conn] and does nothing. *)
+let drop_conn_channel t conn =
+  match Hashtbl.find_opt t.conn_chan conn.Tcp.id with
+  | None -> ()
+  | Some ch ->
+      let chid = Channel.id ch in
+      if Hashtbl.mem t.chan_conn chid then begin
+        Hashtbl.remove t.chan_conn chid;
+        drop_channel t chid
+      end
+
 let deregister_conn t conn =
   match conn.Tcp.remote with
   | None -> ()
@@ -615,13 +654,7 @@ let deregister_conn t conn =
       if lrp_mode t then begin
         Chantab.remove_tcp t.chantab ~src:rip ~src_port:rport
           ~dst_port:conn.Tcp.local_port;
-        let stale =
-          Lrp_det.Det.fold_sorted
-            (fun chid c acc -> if c.Tcp.id = conn.Tcp.id then chid :: acc else acc)
-            t.chan_conn []
-        in
-        List.iter (Hashtbl.remove t.chan_conn) stale;
-        List.iter (drop_channel t) stale;
+        drop_conn_channel t conn;
         Hashtbl.remove t.conn_chan conn.Tcp.id
       end
 
@@ -726,14 +759,7 @@ let make_tcp_env t =
           | Some (rip, rport) ->
               Chantab.remove_tcp t.chantab ~src:rip ~src_port:rport
                 ~dst_port:conn.Tcp.local_port;
-              let stale =
-                Lrp_det.Det.fold_sorted
-                  (fun chid c acc ->
-                    if c.Tcp.id = conn.Tcp.id then chid :: acc else acc)
-                  t.chan_conn []
-              in
-              List.iter (Hashtbl.remove t.chan_conn) stale;
-              List.iter (drop_channel t) stale
+              drop_conn_channel t conn
           | None -> ());
     on_closed =
       (fun conn ->
@@ -753,110 +779,90 @@ let make_tcp_env t =
 (* Shared delivery helpers                                              *)
 (* ------------------------------------------------------------------ *)
 
-let datagram_of ?(mh = Mbuf.no_handle) (pkt : Packet.t) =
-  match pkt.Packet.body with
-  | Packet.Udp (u, payload) ->
-      { Socket.dg_payload = payload;
-        dg_from = (pkt.Packet.ip.Packet.src, u.Packet.usrc_port);
-        dg_pkt = pkt.Packet.ip.Packet.ident;
-        dg_mbuf = mh }
-  | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ ->
-      invalid_arg "datagram_of: not a UDP datagram"
-
-(* Deposit a fully-processed UDP datagram on its socket queue and wake a
-   receiver.  Shared by the BSD softint path, the Early-Demux softint path
-   and the LRP helper thread. *)
 (* Connected-UDP semantics: a socket with a default peer only accepts
    datagrams from that peer. *)
-let peer_accepts t (sock : Socket.t) (dg : Socket.udp_datagram) =
+let peer_accepts t (sock : Socket.t) ~src ~sport =
   match sock.Socket.remote with
-  | Some peer when peer <> dg.Socket.dg_from ->
+  | Some (pip, pport) when pip <> src || pport <> sport ->
       t.stats.rx_wrong_peer <- t.stats.rx_wrong_peer + 1;
       false
   | Some _ | None -> true
 
-(* Trace the terminal outcome of a deposit attempt. *)
-let trace_deposit t (sock : Socket.t) (dg : Socket.udp_datagram) ok =
-  if ok then
-    Trace.sock_enqueue t.tracer ~pkt:dg.Socket.dg_pkt ~sock:sock.Socket.id
-  else Trace.sock_drop t.tracer ~pkt:dg.Socket.dg_pkt ~sock:sock.Socket.id
-
-let deposit_and_wake t sock dg =
-  if peer_accepts t sock dg then begin
-    let ok = Socket.deposit_udp sock dg in
-    trace_deposit t sock dg ok;
-    if ok then begin
-      t.stats.udp_delivered <- t.stats.udp_delivered + 1;
-      wake_one t sock.Socket.recv_wait
-    end
+(* Deposit a fully-processed UDP datagram on its socket queue, trace the
+   outcome and wake a receiver.  Returns [false] on a socket-queue
+   overflow (the BSD drop point); the caller frees the reservation. *)
+let deposit_and_wake t (sock : Socket.t) (pkt : Packet.t) ~sport payload ~mh =
+  let ident = pkt.Packet.ip.Packet.ident in
+  let ok =
+    Socket.deposit_udp sock ~payload ~src:pkt.Packet.ip.Packet.src ~sport
+      ~ident ~mbuf:mh
+  in
+  if ok then begin
+    Trace.sock_enqueue t.tracer ~pkt:ident ~sock:sock.Socket.id;
+    t.stats.udp_delivered <- t.stats.udp_delivered + 1;
+    wake_one t sock.Socket.recv_wait
   end
+  else Trace.sock_drop t.tracer ~pkt:ident ~sock:sock.Socket.id;
+  ok
 
-let deliver_udp_ready ?(mh = Mbuf.no_handle) t (pkt : Packet.t) =
+(* One copy per member socket of the group (section 3.1).  Under the
+   mbuf-based kernels the original chain is released and a duplicate is
+   allocated per deposited copy, so each receiver's copyout frees exactly
+   one chain. *)
+let rec deliver_to_members t (pkt : Packet.t) ~sport payload = function
+  | [] -> ()
+  | (sock : Socket.t) :: rest ->
+      if peer_accepts t sock ~src:pkt.Packet.ip.Packet.src ~sport then begin
+        let dup_h =
+          match t.cfg.arch with
+          | Bsd | Early_demux | Napi | Napi_gro | Rss ->
+              Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes pkt)
+          | Soft_lrp | Ni_lrp -> Mbuf.no_handle
+        in
+        let dup_ok =
+          match t.cfg.arch with
+          | Bsd | Early_demux | Napi | Napi_gro | Rss -> dup_h >= 0
+          | Soft_lrp | Ni_lrp -> true
+        in
+        if dup_ok then begin
+          if not (deposit_and_wake t sock pkt ~sport payload ~mh:dup_h) then
+            free_rx_pkt t ~mh:dup_h (Packet.wire_bytes pkt)
+        end
+        else begin
+          t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
+          Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
+        end
+      end;
+      deliver_to_members t pkt ~sport payload rest
+
+(* Terminal UDP delivery of a complete datagram: shared by the BSD
+   softint path, the Early-Demux softint path, the NAPI poll loop, lazy
+   receiver processing and the LRP helper thread.  [mh] is the mbuf
+   reservation carried from the driver, or [Mbuf.no_handle]. *)
+let deliver_udp_ready t (pkt : Packet.t) ~mh =
   if not (csum_ok t pkt) then free_rx_pkt t ~mh (Packet.wire_bytes pkt)
   else
   match pkt.Packet.body with
-  | Packet.Udp (u, _) ->
+  | Packet.Udp (u, payload) ->
+      let sport = u.Packet.usrc_port in
       if Packet.is_multicast pkt then begin
-        (* One copy per member socket of the group (section 3.1).  Under
-           the mbuf-based kernels the original chain is released and a
-           duplicate is allocated per deposited copy, so each receiver's
-           copyout frees exactly one chain. *)
         free_rx_pkt t ~mh (Packet.wire_bytes pkt);
-        match Hashtbl.find_opt t.mcast_members u.Packet.udst_port with
-        | None -> t.stats.no_port_drops <- t.stats.no_port_drops + 1
-        | Some members ->
-            List.iter
-              (fun sock ->
-                let dg = datagram_of pkt in
-                if peer_accepts t sock dg then begin
-                  let dup_h =
-                    match t.cfg.arch with
-                    | Bsd | Early_demux | Napi | Napi_gro | Rss ->
-                        Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes pkt)
-                    | Soft_lrp | Ni_lrp -> Mbuf.no_handle
-                  in
-                  let dup_ok =
-                    match t.cfg.arch with
-                    | Bsd | Early_demux | Napi | Napi_gro | Rss -> dup_h >= 0
-                    | Soft_lrp | Ni_lrp -> true
-                  in
-                  if dup_ok then begin
-                    let dg = { dg with Socket.dg_mbuf = dup_h } in
-                    let ok = Socket.deposit_udp sock dg in
-                    trace_deposit t sock dg ok;
-                    if ok then begin
-                      t.stats.udp_delivered <- t.stats.udp_delivered + 1;
-                      wake_one t sock.Socket.recv_wait
-                    end
-                    else free_rx_pkt t ~mh:dup_h (Packet.wire_bytes pkt)
-                  end
-                  else begin
-                    t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-                    Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-                  end
-                end)
-              !members
+        if Hashtbl.mem t.mcast_members u.Packet.udst_port then
+          deliver_to_members t pkt ~sport payload
+            !(Hashtbl.find t.mcast_members u.Packet.udst_port)
+        else t.stats.no_port_drops <- t.stats.no_port_drops + 1
       end
       else
-        (match Hashtbl.find_opt t.udp_ports u.Packet.udst_port with
-         | None ->
+        (match Hashtbl.find t.udp_ports u.Packet.udst_port with
+         | exception Not_found ->
              t.stats.no_port_drops <- t.stats.no_port_drops + 1;
              free_rx_pkt t ~mh (Packet.wire_bytes pkt)
-         | Some sock ->
-             let dg = datagram_of ~mh pkt in
-             if not (peer_accepts t sock dg) then
-               free_rx_pkt t ~mh (Packet.wire_bytes pkt)
-             else begin
-               let ok = Socket.deposit_udp sock dg in
-               trace_deposit t sock dg ok;
-               if ok then begin
-                 t.stats.udp_delivered <- t.stats.udp_delivered + 1;
-                 wake_one t sock.Socket.recv_wait
-               end
-               else
-                 (* Socket queue overflow: the BSD drop point. *)
-                 free_rx_pkt t ~mh (Packet.wire_bytes pkt)
-             end)
+         | sock ->
+             if not (peer_accepts t sock ~src:pkt.Packet.ip.Packet.src ~sport)
+             then free_rx_pkt t ~mh (Packet.wire_bytes pkt)
+             else if not (deposit_and_wake t sock pkt ~sport payload ~mh) then
+               (* Socket queue overflow: the BSD drop point. *)
+               free_rx_pkt t ~mh (Packet.wire_bytes pkt))
   | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> ()
 
 let icmp_reply t (pkt : Packet.t) =
@@ -887,12 +893,12 @@ let deliver_tcp t (pkt : Packet.t) ~ctx =
 
 (* Transport-level processing of a complete (reassembled) datagram; runs in
    softint context under BSD / Early-Demux. *)
-let bsd_transport_input ?(mh = Mbuf.no_handle) t (pkt : Packet.t) =
+let bsd_transport_input t (pkt : Packet.t) ~mh =
   match pkt.Packet.body with
   | Packet.Udp _ ->
       Trace.proto_deliver t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~conn:(-1)
         ~in_proc:false;
-      deliver_udp_ready ~mh t pkt
+      deliver_udp_ready t pkt ~mh
   | Packet.Tcp _ ->
       free_rx_pkt t ~mh (Packet.wire_bytes pkt);
       deliver_tcp t pkt ~ctx:`Soft
@@ -901,8 +907,13 @@ let bsd_transport_input ?(mh = Mbuf.no_handle) t (pkt : Packet.t) =
       icmp_reply t pkt
   | Packet.Fragment _ -> assert false
 
-(* Cost of eager transport processing for a complete datagram. *)
-let[@inline] transport_cost t (pkt : Packet.t) ~skip_pcb =
+(* The receive-path costs below are computed straight into a float cell
+   (the CPU's stage cell, where the post or segment that charges them
+   reads them): a float returned from a call is boxed. *)
+
+(* Cost of eager transport processing for a complete datagram, into
+   [c.(0)]. *)
+let stage_transport_cost t (pkt : Packet.t) ~skip_pcb c =
   let pcb = if skip_pcb then 0. else t.c.Cost.pcb_lookup in
   let base =
     match pkt.Packet.body with
@@ -911,7 +922,7 @@ let[@inline] transport_cost t (pkt : Packet.t) ~skip_pcb =
     | Packet.Icmp _ -> t.c.Cost.udp_in
     | Packet.Fragment _ -> 0.
   in
-  t.c.Cost.eager_penalty *. base
+  c.(0) <- t.c.Cost.eager_penalty *. base
 
 (* ------------------------------------------------------------------ *)
 (* BSD receive path                                                     *)
@@ -922,48 +933,52 @@ let[@inline] transport_cost t (pkt : Packet.t) ~skip_pcb =
    Fragments arrive without a handle; the whole is freed by bytes, as its
    pieces were allocated. *)
 let post_reasm_complete t whole ~skip_pcb =
-  (Cpu.stage t.cpu).(0) <- transport_cost t whole ~skip_pcb;
+  stage_transport_cost t whole ~skip_pcb (Cpu.stage t.cpu);
   Cpu.post_soft_to t.cpu ~label:"ip-reasm-complete"
     ~tpkt:whole.Packet.ip.Packet.ident ~poll:false t.tg.reasm_complete whole 0
 
-let[@inline] bsd_soft_cost t (pkt : Packet.t) =
+(* The BSD softint's cost for [pkt], into [c.(0)]. *)
+let stage_bsd_soft_cost t (pkt : Packet.t) c =
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
   then
     (* Transit packet: IP forwarding (or discard) in softint context. *)
-    t.c.Cost.soft_dispatch +. t.c.Cost.ipq_op
-    +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward))
-  else
-  let frag_extra =
-    if Packet.is_fragment pkt then t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag
-    else 0.
-  in
-  let transport =
-    if Packet.is_fragment pkt then 0.
-    else transport_cost t pkt ~skip_pcb:false
-  in
-  t.c.Cost.soft_dispatch +. t.c.Cost.ipq_op
-  +. (t.c.Cost.eager_penalty *. t.c.Cost.ip_in)
-  +. frag_extra +. transport +. t.c.Cost.sockbuf_append
+    c.(0) <-
+      t.c.Cost.soft_dispatch +. t.c.Cost.ipq_op
+      +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward))
+  else begin
+    let frag = Packet.is_fragment pkt in
+    let frag_extra =
+      if frag then t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag else 0.
+    in
+    if frag then c.(0) <- 0. else stage_transport_cost t pkt ~skip_pcb:false c;
+    c.(0) <-
+      t.c.Cost.soft_dispatch +. t.c.Cost.ipq_op
+      +. (t.c.Cost.eager_penalty *. t.c.Cost.ip_in)
+      +. frag_extra +. c.(0) +. t.c.Cost.sockbuf_append
+  end
 
-let bsd_softnet ?(mh = Mbuf.no_handle) t pkt () =
+(* IP forwarding (or discard) of a transit packet in softint context. *)
+let forward_or_drop t pkt ~mh =
+  free_rx_pkt t ~mh (Packet.wire_bytes pkt);
+  if t.cfg.forwarding then begin
+    t.stats.forwarded <- t.stats.forwarded + 1;
+    ip_output t pkt
+  end
+  else t.stats.fwd_drops <- t.stats.fwd_drops + 1
+
+let bsd_softnet t pkt ~mh =
   t.ipq_len <- t.ipq_len - 1;
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
-  then begin
-    free_rx_pkt t ~mh (Packet.wire_bytes pkt);
-    if t.cfg.forwarding then begin
-      t.stats.forwarded <- t.stats.forwarded + 1;
-      ip_output t pkt
-    end
-    else t.stats.fwd_drops <- t.stats.fwd_drops + 1
-  end
+  then forward_or_drop t pkt ~mh
   else
-  match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-  | None -> () (* incomplete datagram; fragments wait in the reassembler *)
-  | Some whole ->
+    let whole = Ip.Reasm.insert t.reasm ~clock:(Engine.clock_cell t.engine) pkt in
+    (* [Packet.null]: incomplete datagram; fragments wait in the
+       reassembler. *)
+    if whole != Packet.null then
       if Packet.is_fragment pkt then post_reasm_complete t whole ~skip_pcb:false
-      else bsd_transport_input ~mh t whole
+      else bsd_transport_input t whole ~mh
 
-let bsd_driver_rx t pkt () =
+let bsd_driver_rx t pkt =
   (* Non-fragment datagrams carry their mbuf reservation as a handle from
      here to the copyout (or drop) site; fragment reservations are
      recounted by bytes because the reassembled whole's footprint differs
@@ -993,7 +1008,7 @@ let bsd_driver_rx t pkt () =
     if t.ipq_len > t.stats.ipq_hwm then t.stats.ipq_hwm <- t.ipq_len;
     Trace.ipq_enqueue t.tracer ~pkt:pkt.Packet.ip.Packet.ident
       ~qlen:t.ipq_len;
-    (Cpu.stage t.cpu).(0) <- bsd_soft_cost t pkt;
+    stage_bsd_soft_cost t pkt (Cpu.stage t.cpu);
     Cpu.post_soft_to t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
       ~poll:false t.tg.softnet pkt mh
   end
@@ -1009,276 +1024,307 @@ let bsd_driver_rx t pkt () =
    shard-count independent.  Fragments (including the first) steer by IP
    ident so every piece of one datagram lands on the same ring. *)
 let rss_steer pkt ~queues =
-  let sp, dp =
-    if Packet.is_fragment pkt then (pkt.Packet.ip.Packet.ident land 0xffff, 0)
-    else
-      match Packet.ports pkt with Some (s, d) -> (s, d) | None -> (0, 0)
+  let frag = Packet.is_fragment pkt in
+  let sp =
+    if frag then pkt.Packet.ip.Packet.ident land 0xffff
+    else Packet.src_port_or_zero pkt
   in
+  let dp = if frag then 0 else Packet.dst_port_or_zero pkt in
   let hi = (Packet.src pkt lsl 2) lxor Packet.dst pkt in
   let lo = (sp lsl 16) lor (dp land 0xffff) in
   let h = hi lxor (lo * 0x9E37_79B1) in
   let h = h lxor (h lsr 16) in
   (h land max_int) mod queues
 
-(* Protocol-processing cost of one polled packet: the BSD softint work
-   minus the parts the poll loop does not repeat per packet (softirq
-   dispatch, shared-IP-queue churn).  The per-packet ring dequeue is
-   charged separately ([poll_dequeue]). *)
-let napi_proto_cost t pkt =
-  bsd_soft_cost t pkt -. t.c.Cost.soft_dispatch -. t.c.Cost.ipq_op
-
 (* GRO train cap, the analogue of the 64 kB aggregation limit. *)
 let gro_max_segs = 16
 
-(* Pull up to [napi_budget] frames off ring [qi], reserve their mbufs,
-   and — under [Napi_gro] — run receive-offload aggregation.  Returns the
-   batch in delivery order, the CPU cost of processing it, and the number
-   of frames served (the poll loop's "work done" that is compared against
-   the budget). *)
-let napi_collect t qi =
-  let budget = t.cfg.napi_budget in
-  let gro = t.cfg.arch = Napi_gro in
-  let items = ref [] (* reversed *) in
-  let cost = ref 0. in
-  let served = ref 0 in
-  let add_item pkt mh frag =
-    items := { pi_pkt = pkt; pi_mh = mh; pi_frag = frag } :: !items
-  in
-  (* Admit one packet the BSD way: reserve its mbufs (drop on pool
-     exhaustion) and charge full eager protocol processing. *)
-  let admit pkt =
-    let frag = Packet.is_fragment pkt in
-    let bytes = Packet.wire_bytes pkt in
-    let mh = if frag then Mbuf.no_handle else Mbuf.alloc_h t.mbufs ~bytes in
-    let ok = if frag then Mbuf.alloc t.mbufs ~bytes else mh >= 0 in
-    if not ok then begin
-      t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-      Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
+let napi_add n pkt mh frag =
+  let i = n.b_len in
+  n.b_pkt.(i) <- pkt;
+  n.b_mh.(i) <- mh;
+  n.b_frag.(i) <- frag;
+  n.b_len <- i + 1
+
+(* Add the protocol-processing cost of one polled packet to the batch:
+   the BSD softint work minus the parts the poll loop does not repeat per
+   packet (softirq dispatch, shared-IP-queue churn).  The per-packet ring
+   dequeue is charged separately ([poll_dequeue]). *)
+let napi_add_proto_cost t n pkt =
+  let s = Cpu.stage t.cpu in
+  stage_bsd_soft_cost t pkt s;
+  n.nf.(nf_cost) <-
+    n.nf.(nf_cost) +. (s.(0) -. t.c.Cost.soft_dispatch -. t.c.Cost.ipq_op)
+
+(* Admit one packet the BSD way: reserve its mbufs (drop on pool
+   exhaustion) and charge full eager protocol processing. *)
+let napi_admit t n pkt =
+  let frag = Packet.is_fragment pkt in
+  let bytes = Packet.wire_bytes pkt in
+  let mh = if frag then Mbuf.no_handle else Mbuf.alloc_h t.mbufs ~bytes in
+  let ok = if frag then Mbuf.alloc t.mbufs ~bytes else mh >= 0 in
+  if not ok then begin
+    t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
+    Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
+  end
+  else begin
+    napi_add_proto_cost t n pkt;
+    napi_add n pkt mh frag
+  end
+
+(* GRO may only merge a packet whose merging cannot change what the
+   shared protocol code would compute: local unicast, checksum already
+   verified (GRO runs after hardware checksum validation), not a
+   fragment. *)
+let gro_candidate t pkt =
+  (not (Packet.is_fragment pkt))
+  && (not (Packet.is_multicast pkt))
+  && is_local_addr t (Packet.dst pkt)
+  && Packet.verify pkt
+
+(* A TCP segment is mergeable when it also carries data and no
+   connection-state flags. *)
+let tcp_mergeable t pkt =
+  gro_candidate t pkt
+  &&
+  match pkt.Packet.body with
+  | Packet.Tcp (h, pl) ->
+      Payload.length pl > 0
+      && not
+           (h.Packet.flags.Packet.syn || h.Packet.flags.Packet.fin
+          || h.Packet.flags.Packet.rst)
+  | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false
+
+let udp_mergeable t pkt =
+  gro_candidate t pkt
+  &&
+  match pkt.Packet.body with
+  | Packet.Udp _ -> true
+  | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> false
+
+let same_flow (a : Packet.t) (b : Packet.t) =
+  Packet.src a = Packet.src b
+  && Packet.dst a = Packet.dst b
+  &&
+  match a.Packet.body with
+  | Packet.Tcp (x, _) -> (
+      match b.Packet.body with
+      | Packet.Tcp (y, _) ->
+          x.Packet.tsrc_port = y.Packet.tsrc_port
+          && x.Packet.tdst_port = y.Packet.tdst_port
+      | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
+  | Packet.Udp (x, _) -> (
+      match b.Packet.body with
+      | Packet.Udp (y, _) ->
+          x.Packet.usrc_port = y.Packet.usrc_port
+          && x.Packet.udst_port = y.Packet.udst_port
+      | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
+  | Packet.Icmp _ | Packet.Fragment _ -> false
+
+(* Merge a TCP train into one super-segment: head's ident and seq, last
+   segment's ack/window (and PSH), payloads glued, content checksum
+   recomputed so the merged segment still verifies.  The merged segment
+   is new simulated data, so building it allocates. *)
+let merge_train ps =
+  let head = List.hd ps in
+  let last = List.nth ps (List.length ps - 1) in
+  match head.Packet.body, last.Packet.body with
+  | Packet.Tcp (th, _), Packet.Tcp (tl, _) ->
+      let payload =
+        Payload.concat
+          (List.map
+             (fun p ->
+               match p.Packet.body with
+               | Packet.Tcp (_, pl) -> pl
+               | _ -> assert false)
+             ps)
+      in
+      let hdr =
+        { th with
+          Packet.ack_no = tl.Packet.ack_no;
+          window = tl.Packet.window;
+          flags =
+            { th.Packet.flags with Packet.psh = tl.Packet.flags.Packet.psh } }
+      in
+      let merged =
+        { Packet.ip = head.Packet.ip; body = Packet.Tcp (hdr, payload) }
+      in
+      { merged with
+        Packet.ip =
+          { merged.Packet.ip with Packet.csum = Packet.checksum merged } }
+  | _ -> assert false
+
+(* The train's packets from index [i] down to [b_len], prepended to
+   [acc]: the whole train, oldest first, from its last index. *)
+let rec train_list n i acc =
+  if i < n.b_len then acc
+  (* alloc: cold — TCP GRO: the merged super-segment's input list *)
+  else train_list n (i - 1) (n.b_pkt.(i) :: acc)
+
+(* Flush the held train into the batch.  A lone frame is admitted as
+   itself; a UDP train shares one IP/UDP protocol pass (fraglist-style:
+   the head pays full cost, each absorbed datagram pays merge + deposit
+   and is still deposited individually); a TCP train enters protocol
+   processing as one merged super-segment, which stays on byte accounting
+   because its wire footprint differs from any single reservation.  The
+   train's frames are read from [b_len] up while the admitted items are
+   written from [b_len] up, so the write index never passes the read
+   index. *)
+let napi_flush t n =
+  let len = n.tr_len and start = n.b_len in
+  if len = 1 then begin
+    n.tr_len <- 0;
+    napi_admit t n n.b_pkt.(start)
+  end
+  else if len > 1 then begin
+    let head = n.b_pkt.(start) in
+    let hid = head.Packet.ip.Packet.ident in
+    for i = start + 1 to start + len - 1 do
+      Trace.gro_merge t.tracer ~pkt:n.b_pkt.(i).Packet.ip.Packet.ident
+        ~into:hid
+    done;
+    if n.tr_udp then begin
+      n.tr_len <- 0;
+      napi_admit t n head;
+      for i = start + 1 to start + len - 1 do
+        let p = n.b_pkt.(i) in
+        let mh = Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes p) in
+        if mh < 0 then begin
+          t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
+          Trace.mbuf_drop t.tracer ~pkt:p.Packet.ip.Packet.ident
+        end
+        else begin
+          n.nf.(nf_cost) <-
+            n.nf.(nf_cost) +. t.c.Cost.gro_merge +. t.c.Cost.sockbuf_append;
+          napi_add n p mh false
+        end
+      done
     end
     else begin
-      cost := !cost +. napi_proto_cost t pkt;
-      add_item pkt mh frag
-    end
-  in
-  (* The held GRO train: [train_rev] newest-first, [train_head] the first
-     segment.  A train never survives the poll round. *)
-  let train_rev = ref [] in
-  let train_len = ref 0 in
-  let train_head = ref Packet.null in
-  let train_udp = ref false in
-  let train_next_seq = ref 0 in
-  (* A segment is TCP-mergeable when aggregation cannot change what the
-     shared protocol code would compute: local unicast, checksum already
-     verified (GRO runs after hardware checksum validation), carries
-     data, and no connection-state flags. *)
-  let tcp_mergeable pkt =
-    (not (Packet.is_fragment pkt))
-    && (not (Packet.is_multicast pkt))
-    && is_local_addr t (Packet.dst pkt)
-    && Packet.verify pkt
-    && (match pkt.Packet.body with
-        | Packet.Tcp (h, pl) ->
-            Payload.length pl > 0
-            && not
-                 (h.Packet.flags.Packet.syn || h.Packet.flags.Packet.fin
-                || h.Packet.flags.Packet.rst)
-        | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
-  in
-  let udp_mergeable pkt =
-    (not (Packet.is_fragment pkt))
-    && (not (Packet.is_multicast pkt))
-    && is_local_addr t (Packet.dst pkt)
-    && Packet.verify pkt
-    && (match pkt.Packet.body with
-        | Packet.Udp _ -> true
-        | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
-  in
-  let same_flow a b =
-    Packet.src a = Packet.src b
-    && Packet.dst a = Packet.dst b
-    &&
-    match a.Packet.body, b.Packet.body with
-    | Packet.Tcp (x, _), Packet.Tcp (y, _) ->
-        x.Packet.tsrc_port = y.Packet.tsrc_port
-        && x.Packet.tdst_port = y.Packet.tdst_port
-    | Packet.Udp (x, _), Packet.Udp (y, _) ->
-        x.Packet.usrc_port = y.Packet.usrc_port
-        && x.Packet.udst_port = y.Packet.udst_port
-    | _ -> false
-  in
-  (* Merge a TCP train into one super-segment: head's ident and seq, last
-     segment's ack/window (and PSH), payloads glued, content checksum
-     recomputed so the merged segment still verifies. *)
-  let merge_train ps =
-    let head = List.hd ps in
-    let last = List.nth ps (List.length ps - 1) in
-    match head.Packet.body, last.Packet.body with
-    | Packet.Tcp (th, _), Packet.Tcp (tl, _) ->
-        let payload =
-          Payload.concat
-            (List.map
-               (fun p ->
-                 match p.Packet.body with
-                 | Packet.Tcp (_, pl) -> pl
-                 | _ -> assert false)
-               ps)
-        in
-        let hdr =
-          { th with
-            Packet.ack_no = tl.Packet.ack_no;
-            window = tl.Packet.window;
-            flags =
-              { th.Packet.flags with Packet.psh = tl.Packet.flags.Packet.psh } }
-        in
-        let merged =
-          { Packet.ip = head.Packet.ip; body = Packet.Tcp (hdr, payload) }
-        in
-        { merged with
-          Packet.ip =
-            { merged.Packet.ip with Packet.csum = Packet.checksum merged } }
-    | _ -> assert false
-  in
-  let flush () =
-    (match List.rev !train_rev with
-     | [] -> ()
-     | [ p ] -> admit p
-     | head :: rest as ps ->
-         let hid = head.Packet.ip.Packet.ident in
-         List.iter
-           (fun p ->
-             Trace.gro_merge t.tracer ~pkt:p.Packet.ip.Packet.ident ~into:hid)
-           rest;
-         if !train_udp then begin
-           (* UDP receive offload (fraglist-style): the train shares one
-              IP/UDP protocol pass; each datagram is still deposited
-              individually.  The head pays full cost; absorbed datagrams
-              pay merge + deposit. *)
-           admit head;
-           List.iter
-             (fun p ->
-               let bytes = Packet.wire_bytes p in
-               let mh = Mbuf.alloc_h t.mbufs ~bytes in
-               if mh < 0 then begin
-                 t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-                 Trace.mbuf_drop t.tracer ~pkt:p.Packet.ip.Packet.ident
-               end
-               else begin
-                 cost :=
-                   !cost +. t.c.Cost.gro_merge +. t.c.Cost.sockbuf_append;
-                 add_item p mh false
-               end)
-             rest
-         end
-         else begin
-           (* TCP: one merged super-segment enters protocol processing;
-              its wire footprint differs from any single reservation, so
-              it stays on byte accounting. *)
-           let merged = merge_train ps in
-           let bytes = Packet.wire_bytes merged in
-           if not (Mbuf.alloc t.mbufs ~bytes) then begin
-             t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-             Trace.mbuf_drop t.tracer ~pkt:hid
-           end
-           else begin
-             cost :=
-               !cost +. napi_proto_cost t merged
-               +. (float_of_int (List.length rest) *. t.c.Cost.gro_merge);
-             add_item merged Mbuf.no_handle false
-           end
-         end;
-         Trace.gro_flush t.tracer ~pkt:hid ~segs:!train_len);
-    train_rev := [];
-    train_len := 0;
-    train_head := Packet.null
-  in
-  let rec consider pkt =
-    if !train_len = 0 then begin
-      if tcp_mergeable pkt then begin
-        train_rev := [ pkt ];
-        train_len := 1;
-        train_head := pkt;
-        train_udp := false;
-        match pkt.Packet.body with
-        | Packet.Tcp (h, pl) ->
-            train_next_seq := h.Packet.seq + Payload.length pl;
-            if h.Packet.flags.Packet.psh then flush ()
-        | _ -> ()
-      end
-      else if udp_mergeable pkt then begin
-        train_rev := [ pkt ];
-        train_len := 1;
-        train_head := pkt;
-        train_udp := true
-      end
-      else admit pkt
-    end
-    else if !train_udp then begin
-      if udp_mergeable pkt && same_flow !train_head pkt then begin
-        train_rev := pkt :: !train_rev;
-        incr train_len;
-        if !train_len >= gro_max_segs then flush ()
+      let merged = merge_train (train_list n (start + len - 1) []) in
+      n.tr_len <- 0;
+      let bytes = Packet.wire_bytes merged in
+      if not (Mbuf.alloc t.mbufs ~bytes) then begin
+        t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
+        Trace.mbuf_drop t.tracer ~pkt:hid
       end
       else begin
-        flush ();
-        consider pkt
+        napi_add_proto_cost t n merged;
+        n.nf.(nf_cost) <-
+          n.nf.(nf_cost) +. (float_of_int (len - 1) *. t.c.Cost.gro_merge);
+        napi_add n merged Mbuf.no_handle false
       end
-    end
-    else if
-      tcp_mergeable pkt
-      && same_flow !train_head pkt
-      && (match pkt.Packet.body with
-          | Packet.Tcp (h, _) -> h.Packet.seq = !train_next_seq
-          | _ -> false)
-    then begin
-      train_rev := pkt :: !train_rev;
-      incr train_len;
+    end;
+    Trace.gro_flush t.tracer ~pkt:hid ~segs:len
+  end;
+  (* Train slots past the batch (dropped frames, merged segments) must
+     not pin their frames. *)
+  for i = n.b_len to start + len - 1 do
+    n.b_pkt.(i) <- Packet.null
+  done
+
+(* Start a train with [pkt] just past the committed items. *)
+let train_start n pkt ~udp =
+  n.b_pkt.(n.b_len) <- pkt;
+  n.tr_len <- 1;
+  n.tr_udp <- udp
+
+let train_push n pkt =
+  n.b_pkt.(n.b_len + n.tr_len) <- pkt;
+  n.tr_len <- n.tr_len + 1
+
+(* Receive-offload aggregation of one dequeued frame. *)
+let rec napi_consider t n pkt =
+  if n.tr_len = 0 then begin
+    if tcp_mergeable t pkt then begin
+      train_start n pkt ~udp:false;
       match pkt.Packet.body with
       | Packet.Tcp (h, pl) ->
-          train_next_seq := h.Packet.seq + Payload.length pl;
-          (* PSH marks an application-visible boundary: merge, then
-             flush, as Linux GRO does. *)
-          if h.Packet.flags.Packet.psh || !train_len >= gro_max_segs then
-            flush ()
-      | _ -> ()
+          n.tr_next_seq <- h.Packet.seq + Payload.length pl;
+          if h.Packet.flags.Packet.psh then napi_flush t n
+      | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> ()
+    end
+    else if udp_mergeable t pkt then train_start n pkt ~udp:true
+    else napi_admit t n pkt
+  end
+  else if n.tr_udp then begin
+    if udp_mergeable t pkt && same_flow n.b_pkt.(n.b_len) pkt then begin
+      train_push n pkt;
+      if n.tr_len >= gro_max_segs then napi_flush t n
     end
     else begin
-      flush ();
-      consider pkt
+      napi_flush t n;
+      napi_consider t n pkt
     end
-  in
-  let rec loop k =
-    if k < budget then begin
-      let pkt = Nic.rxq_pop t.nic qi in
-      if pkt != Packet.null then begin
-        incr served;
-        cost := !cost +. t.c.Cost.poll_dequeue;
-        if gro then consider pkt else admit pkt;
-        loop (k + 1)
-      end
-    end
-  in
-  loop 0;
-  if gro then flush ();
-  (List.rev !items, !cost, !served)
-
-(* Deliver one polled item: the same terminal processing as the BSD
-   softint path, minus the shared IP queue. *)
-let napi_deliver t { pi_pkt = pkt; pi_mh = mh; pi_frag = frag } =
-  if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
-  then begin
-    free_rx_pkt t ~mh (Packet.wire_bytes pkt);
-    if t.cfg.forwarding then begin
-      t.stats.forwarded <- t.stats.forwarded + 1;
-      ip_output t pkt
-    end
-    else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
+  else if
+    tcp_mergeable t pkt
+    && same_flow n.b_pkt.(n.b_len) pkt
+    &&
+    match pkt.Packet.body with
+    | Packet.Tcp (h, _) -> h.Packet.seq = n.tr_next_seq
+    | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false
+  then begin
+    train_push n pkt;
+    match pkt.Packet.body with
+    | Packet.Tcp (h, pl) ->
+        n.tr_next_seq <- h.Packet.seq + Payload.length pl;
+        (* PSH marks an application-visible boundary: merge, then flush,
+           as Linux GRO does. *)
+        if h.Packet.flags.Packet.psh || n.tr_len >= gro_max_segs then
+          napi_flush t n
+    | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> ()
+  end
+  else begin
+    napi_flush t n;
+    napi_consider t n pkt
+  end
+
+(* Pull up to [napi_budget] frames off the queue's ring, reserve their
+   mbufs, and — under [Napi_gro] — run receive-offload aggregation.
+   Leaves the batch in delivery order in the queue's columns, the CPU
+   cost of processing it in [nf.(nf_cost)] and the number of frames
+   served (the poll loop's "work done" that is compared against the
+   budget) in [b_served]. *)
+let napi_collect t n =
+  let budget = t.cfg.napi_budget in
+  let gro = t.cfg.arch = Napi_gro in
+  n.b_len <- 0;
+  n.b_served <- 0;
+  n.nf.(nf_cost) <- 0.;
+  let more = ref true in
+  while !more && n.b_served < budget do
+    let pkt = Nic.rxq_pop t.nic n.nq in
+    if pkt == Packet.null then more := false
+    else begin
+      n.b_served <- n.b_served + 1;
+      n.nf.(nf_cost) <- n.nf.(nf_cost) +. t.c.Cost.poll_dequeue;
+      if gro then napi_consider t n pkt else napi_admit t n pkt
+    end
+  done;
+  if gro then napi_flush t n
+
+(* Deliver item [i] of the batch: the same terminal processing as the
+   BSD softint path, minus the shared IP queue. *)
+let napi_deliver t n i =
+  let pkt = n.b_pkt.(i) and mh = n.b_mh.(i) in
+  n.b_pkt.(i) <- Packet.null;
+  if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
+  then forward_or_drop t pkt ~mh
   else
-    match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-    | None -> () (* incomplete datagram; fragments wait in the reassembler *)
-    | Some whole ->
-        if frag then post_reasm_complete t whole ~skip_pcb:false
-        else bsd_transport_input ~mh t whole
+    let whole = Ip.Reasm.insert t.reasm ~clock:(Engine.clock_cell t.engine) pkt in
+    (* [Packet.null]: incomplete datagram; fragments wait in the
+       reassembler. *)
+    if whole != Packet.null then
+      if n.b_frag.(i) then post_reasm_complete t whole ~skip_pcb:false
+      else bsd_transport_input t whole ~mh
+
+(* Deliver the whole batch in order. *)
+let napi_deliver_all t n =
+  for i = 0 to n.b_len - 1 do
+    napi_deliver t n i
+  done;
+  n.b_len <- 0
 
 (* The softirq poll chain.  Each round is two softirq work items: a fixed
    [poll_loop] charge whose action dequeues the batch (so the batch
@@ -1303,26 +1349,17 @@ let napi_post_poll t n =
 
 let napi_softirq_round t n =
   Trace.poll_begin t.tracer ~q:n.nq ~pending:(Nic.rxq_len t.nic n.nq);
-  let batch, cost, served = napi_collect t n.nq in
-  n.batch <- batch;
-  n.batch_served <- served;
-  (Cpu.stage t.cpu).(0) <- cost;
+  napi_collect t n;
+  (Cpu.stage t.cpu).(0) <- n.nf.(nf_cost);
   Cpu.post_soft_to t.cpu ~label:"napi-poll" ~tpkt:(-1) ~poll:true
     t.tg.napi_deliver n 0
 
-let rec napi_deliver_all t = function
-  | [] -> ()
-  | item :: rest ->
-      napi_deliver t item;
-      napi_deliver_all t rest
-
 let napi_deliver_batch t n =
-  let batch = n.batch and served = n.batch_served in
-  n.batch <- [];
-  napi_deliver_all t batch;
+  let served = n.b_served in
+  napi_deliver_all t n;
   Trace.poll_end t.tracer ~q:n.nq ~served;
   n.episode <- n.episode + served;
-  n.last_poll <- Engine.now t.engine;
+  n.nf.(nf_last_poll) <- (Engine.clock_cell t.engine).(0);
   if n.episode >= t.cfg.napi_budget then begin
     n.in_ksoftirqd <- true;
     wake_one t n.ksoftirqd_wq
@@ -1350,7 +1387,8 @@ let napi_irq t qi =
     n.poll_on <- true;
     (* A quiet spell since the last poll round ends the episode; a
        kick inside the storm gap continues it (and its budget). *)
-    if Engine.now t.engine -. n.last_poll > napi_storm_gap then
+    if (Engine.clock_cell t.engine).(0) -. n.nf.(nf_last_poll) > napi_storm_gap
+    then
       n.episode <- 0;
     napi_post_poll t n
   end
@@ -1366,41 +1404,46 @@ let napi_irq t qi =
    Without the grace poll, a flood whose interarrival time exceeds one
    poll cycle would momentarily drain the ring, bounce straight back to
    interrupt mode, and re-earn the deferral 64 packets later — spending
-   most of its life back at softirq priority. *)
-let ksoftirqd_loop t n =
-  let rec wait () =
-    if not n.in_ksoftirqd then begin
-      Proc.block n.ksoftirqd_wq;
-      wait ()
-    end
-    else poll 0
+   most of its life back at softirq priority.
 
-  and poll quiet =
-    Trace.poll_begin t.tracer ~q:n.nq ~pending:(Nic.rxq_len t.nic n.nq);
-    Cpu.compute_poll t.cpu t.c.Cost.poll_loop;
-    let batch, cost, served = napi_collect t n.nq in
-    Cpu.compute_poll t.cpu cost;
-    napi_deliver_all t batch;
-    Trace.poll_end t.tracer ~q:n.nq ~served;
-    if served > 0 || Nic.rxq_len t.nic n.nq > 0 then poll 0
-    else if quiet >= 1 then begin
-      (* Two consecutive quiet polls: back to interrupt mode. *)
-      n.in_ksoftirqd <- false;
-      n.poll_on <- false;
-      n.episode <- 0;
-      Nic.rxq_enable_intr t.nic n.nq;
-      wait ()
-    end
-    else begin
-      (* IRQ deferral: hold the interrupt masked, sleep [napi_repoll],
-         grace poll.  Only this timer targets the waitq while
-         [in_ksoftirqd] is set, so the wake below cannot be stolen. *)
-      napi_grace_rearm t n;
-      Proc.block n.ksoftirqd_wq;
-      poll (quiet + 1)
-    end
-  in
-  wait ()
+   The loop is two top-level recursions over the queue's own record, so
+   a poll builds no closure. *)
+let rec ksoftirqd_wait t n =
+  if not n.in_ksoftirqd then begin
+    Proc.block n.ksoftirqd_wq;
+    ksoftirqd_wait t n
+  end
+  else ksoftirqd_poll t n 0
+
+and ksoftirqd_poll t n quiet =
+  Trace.poll_begin t.tracer ~q:n.nq ~pending:(Nic.rxq_len t.nic n.nq);
+  (Cpu.stage t.cpu).(0) <- t.c.Cost.poll_loop;
+  Cpu.compute_poll t.cpu ~flow:(-1);
+  napi_collect t n;
+  (Cpu.stage t.cpu).(0) <- n.nf.(nf_cost);
+  Cpu.compute_poll t.cpu ~flow:(-1);
+  let served = n.b_served in
+  napi_deliver_all t n;
+  Trace.poll_end t.tracer ~q:n.nq ~served;
+  if served > 0 || Nic.rxq_len t.nic n.nq > 0 then ksoftirqd_poll t n 0
+  else if quiet >= 1 then begin
+    (* Two consecutive quiet polls: back to interrupt mode. *)
+    n.in_ksoftirqd <- false;
+    n.poll_on <- false;
+    n.episode <- 0;
+    Nic.rxq_enable_intr t.nic n.nq;
+    ksoftirqd_wait t n
+  end
+  else begin
+    (* IRQ deferral: hold the interrupt masked, sleep [napi_repoll],
+       grace poll.  Only this timer targets the waitq while
+       [in_ksoftirqd] is set, so the wake below cannot be stolen. *)
+    napi_grace_rearm t n;
+    Proc.block n.ksoftirqd_wq;
+    ksoftirqd_poll t n (quiet + 1)
+  end
+
+let ksoftirqd_loop t n = ksoftirqd_wait t n
 
 (* ------------------------------------------------------------------ *)
 (* LRP receive path (shared by SOFT-LRP and NI-LRP)                     *)
@@ -1484,15 +1527,15 @@ let lrp_classify_rx t pkt =
          let was_empty = code = Channel.queued_was_empty in
          (match cls with
             | Demux.Udp_class ->
-                let dst_port_of_flow = Demux.udp_dst_port_of_packet pkt in
                 if Channel.interrupt_requested ch then begin
                   Channel.clear_interrupt_request ch;
-                  match Hashtbl.find_opt t.mcast_members dst_port_of_flow with
-                  | Some members -> ni_wake_members t members
-                  | None ->
-                      (match Hashtbl.find_opt t.chan_sock (Channel.id ch) with
-                       | Some sock -> ni_wake t sock.Socket.recv_wait
-                       | None -> ())
+                  let port = Demux.udp_dst_port_of_packet pkt in
+                  if Hashtbl.mem t.mcast_members port then
+                    ni_wake_members t (Hashtbl.find t.mcast_members port)
+                  else
+                    match Hashtbl.find t.chan_sock (Channel.id ch) with
+                    | sock -> ni_wake t sock.Socket.recv_wait
+                    | exception Not_found -> ()
                 end
                 else if t.cfg.udp_helper && was_empty then
                   (* Nobody is waiting: let the minimal-priority protocol
@@ -1507,9 +1550,10 @@ let lrp_classify_rx t pkt =
                    empty-to-non-empty transition needs a notification —
                    under NI demux that keeps host interrupts rare. *)
                 if was_empty then
-                  (match Hashtbl.find_opt t.chan_conn (Channel.id ch) with
-                   | Some conn -> ni_wake_app t conn ch
-                   | None -> trc t "rx tcp chan %d: NO CONN" (Channel.id ch))
+                  (match Hashtbl.find t.chan_conn (Channel.id ch) with
+                   | conn -> ni_wake_app t conn ch
+                   | exception Not_found ->
+                       trc t "rx tcp chan %d: NO CONN" (Channel.id ch))
             | Demux.Frag_class ->
                 (* Fragments needing reassembly: the helper integrates them
                    if no receiver does it lazily first. *)
@@ -1531,20 +1575,18 @@ let edemux_drop t pkt =
    Early demux has already found the endpoint, so the transport cost
    skips the PCB lookup. *)
 let edemux_eager t pkt =
+  let is_frag = Packet.is_fragment pkt in
+  let c = Cpu.stage t.cpu in
   let frag_extra =
-    if Packet.is_fragment pkt then
-      t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag
+    if is_frag then t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag
     else 0.
   in
-  let transport =
-    if Packet.is_fragment pkt then 0. else transport_cost t pkt ~skip_pcb:true
-  in
+  if is_frag then c.(0) <- 0. else stage_transport_cost t pkt ~skip_pcb:true c;
   let cost =
     t.c.Cost.soft_dispatch
     +. (t.c.Cost.eager_penalty *. t.c.Cost.ip_in)
-    +. frag_extra +. transport +. t.c.Cost.sockbuf_append
+    +. frag_extra +. c.(0) +. t.c.Cost.sockbuf_append
   in
-  let is_frag = Packet.is_fragment pkt in
   let mh =
     if is_frag then Mbuf.no_handle
     else Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes pkt)
@@ -1558,17 +1600,42 @@ let edemux_eager t pkt =
     Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
   end
   else begin
-    (Cpu.stage t.cpu).(0) <- cost;
+    c.(0) <- cost;
     Cpu.post_soft_to t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
       ~poll:false t.tg.edemux_softnet pkt mh
   end
 
 let edemux_softnet t pkt mh =
-  match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-  | None -> ()
-  | Some whole ->
-      if Packet.is_fragment pkt then post_reasm_complete t whole ~skip_pcb:true
-      else bsd_transport_input ~mh t whole
+  let whole = Ip.Reasm.insert t.reasm ~clock:(Engine.clock_cell t.engine) pkt in
+  if whole != Packet.null then
+    if Packet.is_fragment pkt then post_reasm_complete t whole ~skip_pcb:true
+    else bsd_transport_input t whole ~mh
+
+(* The early check of a TCP segment: discard when the connection's
+   receive buffer is full, or when a SYN finds a full listen backlog. *)
+let edemux_tcp t pkt =
+  let dst_port = Packet.dst_port_or_zero pkt in
+  (* alloc: cold — TCP: the connection table is keyed by a triple *)
+  let key = (Packet.src pkt, Packet.src_port_or_zero pkt, dst_port) in
+  (* alloc: cold — TCP: the connection lookup *)
+  match Hashtbl.find_opt t.tcp_conns key with
+  | Some conn ->
+      if conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit then edemux_drop t pkt
+      else edemux_eager t pkt
+  | None ->
+      if Demux.syn_only_of_packet pkt then
+        (* alloc: cold — TCP connection establishment *)
+        match Hashtbl.find_opt t.tcp_listeners dst_port with
+        | Some l ->
+            if l.Tcp.syn_pending + Queue.length l.Tcp.accept_queue
+               >= l.Tcp.backlog
+            then edemux_drop t pkt
+            else edemux_eager t pkt
+        | None ->
+            (* No endpoint: process eagerly so TCP answers with an RST, as
+               the BSD code this kernel is derived from does. *)
+            edemux_eager t pkt
+      else edemux_eager t pkt
 
 let edemux_rx t pkt =
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
@@ -1582,41 +1649,24 @@ let edemux_rx t pkt =
     end
     else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
-  else
-  let flow = Demux.flow_of_packet pkt in
-  Trace.demux t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
-    ~flow:(Demux.flow_id flow);
-  match flow with
-  | Demux.Udp_flow { dst_port; _ } ->
-      (match Hashtbl.find_opt t.udp_ports dst_port with
-       | None -> edemux_drop t pkt
-       | Some sock ->
-           (* Early discard on a full receiver queue — but processing stays
-              eager. *)
-           if Queue.length sock.Socket.udp_rcv >= sock.Socket.udp_rcv_limit
-           then edemux_drop t pkt
-           else edemux_eager t pkt)
-  | Demux.Tcp_flow { src; src_port; dst_port; syn_only } ->
-      (match Hashtbl.find_opt t.tcp_conns (src, src_port, dst_port) with
-       | Some conn ->
-           if conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit then edemux_drop t pkt
-           else edemux_eager t pkt
-       | None ->
-           if syn_only then
-             match Hashtbl.find_opt t.tcp_listeners dst_port with
-             | Some l ->
-                 if l.Tcp.syn_pending + Queue.length l.Tcp.accept_queue
-                    >= l.Tcp.backlog
-                 then edemux_drop t pkt
-                 else edemux_eager t pkt
-             | None ->
-                 (* No endpoint: process eagerly so TCP answers with an
-                    RST, as the BSD code this kernel is derived from does. *)
-                 edemux_eager t pkt
-           else edemux_eager t pkt)
-  | Demux.Frag_flow _ -> edemux_eager t pkt
-  | Demux.Icmp_flow -> edemux_eager t pkt
-  | Demux.Other_flow _ -> edemux_drop t pkt
+  else begin
+    (* Classified like the LRP path: the constant class and the int
+       accessors, without materialising the [Demux.flow] variant. *)
+    Trace.demux t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
+      ~flow:(Demux.flow_id_of_packet pkt);
+    match Demux.class_of_packet pkt with
+    | Demux.Udp_class -> (
+        match Hashtbl.find t.udp_ports (Demux.udp_dst_port_of_packet pkt) with
+        | exception Not_found -> edemux_drop t pkt
+        | sock ->
+            (* Early discard on a full receiver queue — but processing
+               stays eager. *)
+            if Socket.ready_count sock >= sock.Socket.udp_rcv_limit then
+              edemux_drop t pkt
+            else edemux_eager t pkt)
+    | Demux.Tcp_class -> edemux_tcp t pkt
+    | Demux.Frag_class | Demux.Icmp_class -> edemux_eager t pkt
+  end
 
 (* ------------------------------------------------------------------ *)
 (* NIC receive dispatch                                                 *)
@@ -1657,16 +1707,17 @@ let rx_dispatch t pkt =
 let register_rx_targets t =
   let tg f = Cpu.target t.cpu f in
   t.tg <-
-    { rx_intr = tg (fun pkt _ -> bsd_driver_rx t pkt ());
+    { rx_intr = tg (fun pkt _ -> bsd_driver_rx t pkt);
       rx_demux = tg (fun pkt _ -> lrp_classify_rx t pkt);
       edemux_intr = tg (fun pkt _ -> edemux_rx t pkt);
-      softnet = tg (fun pkt mh -> bsd_softnet ~mh t pkt ());
+      softnet = tg (fun pkt mh -> bsd_softnet t pkt ~mh);
       edemux_softnet = tg (fun pkt mh -> edemux_softnet t pkt mh);
       edemux_forward =
         tg (fun pkt _ ->
             t.stats.forwarded <- t.stats.forwarded + 1;
             ip_output t pkt);
-      reasm_complete = tg (fun whole _ -> bsd_transport_input t whole);
+      reasm_complete =
+        tg (fun whole _ -> bsd_transport_input t whole ~mh:Mbuf.no_handle);
       ni_wake = tg (fun wq _ -> wake_one t wq);
       ni_wake_members = tg (fun members _ -> wake_members t !members);
       ni_app = tg (fun (conn, ch) _ -> app_post_chan t conn ch);
@@ -1679,122 +1730,133 @@ let register_rx_targets t =
 (* ------------------------------------------------------------------ *)
 
 (* Pull any queued fragments for pending reassemblies out of the special
-   fragment channel and integrate them.  Completions are delivered to their
-   socket queues.  Runs in process context; the caller charges per-fragment
-   cost through [charge]. *)
-let drain_frag_channel t ~charge =
+   fragment channel and integrate them, charging each as protocol work on
+   [flow] in the current process context.  Returns the completed
+   datagrams, most recently completed first. *)
+let drain_frag_channel t ~flow =
   let frag_ch = Chantab.frag_channel t.chantab in
   let frags = Channel.extract frag_ch (fun _ -> true) in
   List.fold_left
+    (* alloc: cold — fragments and reassembly *)
     (fun completed pkt ->
-      charge (t.c.Cost.reasm_per_frag +. t.c.Cost.ip_in);
-      match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-      | None -> completed
-      | Some whole -> whole :: completed)
+      (Cpu.stage t.cpu).(0) <- t.c.Cost.reasm_per_frag +. t.c.Cost.ip_in;
+      Cpu.compute_proto t.cpu ~flow;
+      let whole =
+        Ip.Reasm.insert t.reasm ~clock:(Engine.clock_cell t.engine) pkt
+      in
+      (* alloc: cold — fragments and reassembly *)
+      if whole == Packet.null then completed else whole :: completed)
     [] frags
 
-(* Process one raw packet taken from a UDP channel, in the current process
-   context.  Returns completed datagrams (usually one; fragments may
-   complete zero or several including via the fragment channel). *)
-let lrp_process_udp_raw t ~charge pkt =
+(* Charge the lazy UDP input of one completed datagram. *)
+let charge_udp_in t ~flow =
+  (Cpu.stage t.cpu).(0) <- t.c.Cost.lazy_locality *. t.c.Cost.udp_in;
+  Cpu.compute_proto t.cpu ~flow
+
+(* Process one raw packet taken from UDP channel [ch], in the current
+   process context, charging every step as protocol work on the channel.
+   Returns the completed datagram, or [Packet.null] when none completed
+   here: an incomplete fragment, or datagrams completed from the
+   fragment channel, which are charged and delivered before returning. *)
+let lrp_process_udp_raw t ch pkt =
+  let flow = Channel.id ch in
   (* Lazy protocol processing starts here, in the receiver's own context;
      the deposit that follows the charges closes the proc-proto stage. *)
   Trace.proto_deliver t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~conn:(-1)
     ~in_proc:true;
   (* Channel buffer management, plus the NI-memory access under NI
      demux. *)
-  charge
-    (t.c.Cost.sockq
-     +. (match t.cfg.arch with
-         | Ni_lrp -> t.c.Cost.ni_channel_access
-         | Bsd | Soft_lrp | Early_demux | Napi | Napi_gro | Rss -> 0.));
-  charge
-    (t.c.Cost.lazy_locality
-     *. (t.c.Cost.ip_in
-         +. if Packet.is_fragment pkt then t.c.Cost.reasm_per_frag else 0.));
-  match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-  | Some whole ->
-      charge (t.c.Cost.lazy_locality *. t.c.Cost.udp_in);
-      [ whole ]
-  | None ->
-      (* Missing fragments: check the special fragment channel
-         (section 3.2). *)
-      let completed = drain_frag_channel t ~charge in
-      List.iter (fun _ -> charge (t.c.Cost.lazy_locality *. t.c.Cost.udp_in)) completed;
-      completed
+  let c = Cpu.stage t.cpu in
+  c.(0) <-
+    t.c.Cost.sockq
+    +. (match t.cfg.arch with
+        | Ni_lrp -> t.c.Cost.ni_channel_access
+        | Bsd | Soft_lrp | Early_demux | Napi | Napi_gro | Rss -> 0.);
+  Cpu.compute_proto t.cpu ~flow;
+  c.(0) <-
+    t.c.Cost.lazy_locality
+    *. (t.c.Cost.ip_in
+        +. if Packet.is_fragment pkt then t.c.Cost.reasm_per_frag else 0.);
+  Cpu.compute_proto t.cpu ~flow;
+  let whole = Ip.Reasm.insert t.reasm ~clock:(Engine.clock_cell t.engine) pkt in
+  if whole != Packet.null then begin
+    charge_udp_in t ~flow;
+    whole
+  end
+  else begin
+    (* Missing fragments: check the special fragment channel
+       (section 3.2). *)
+    let completed = drain_frag_channel t ~flow in
+    (* alloc: cold — fragments and reassembly *)
+    List.iter (fun _ -> charge_udp_in t ~flow) completed;
+    (* alloc: cold — fragments and reassembly *)
+    List.iter (fun whole -> deliver_udp_ready t whole ~mh:Mbuf.no_handle)
+      completed;
+    Packet.null
+  end
 
 (* ------------------------------------------------------------------ *)
 (* LRP helper thread (minimal priority, section 3.3)                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Receiver-context protocol charge: a {!Proc.compute} whose segment the
-   ledger attributes to protocol work on channel [ch] (section 3.3's
-   accounting claim made measurable).  Syscall-path callers pass this as
-   the [~charge] of {!lrp_process_udp_raw}. *)
-let proto_charge t ch d = Cpu.compute_proto t.cpu ~flow:(Channel.id ch) d
+(* One packet from each backlogged UDP channel — but only while the
+   destination socket queue has room.  A full socket queue means the
+   receiver is not keeping up, and leaving packets in the channel is what
+   lets it fill and shed further load at the NI instead of burning host
+   CPU on datagrams that would be dropped anyway.  Returns whether any
+   channel had work. *)
+let rec helper_udp_pass t worked = function
+  | [] -> worked
+  | ch :: rest ->
+      let room =
+        match Hashtbl.find t.chan_sock (Channel.id ch) with
+        | sock -> Socket.ready_count sock < sock.Socket.udp_rcv_limit
+        | exception Not_found -> false
+      in
+      let pkt = if room then Channel.pop ch else Packet.null in
+      if pkt != Packet.null then begin
+        let whole = lrp_process_udp_raw t ch pkt in
+        if whole != Packet.null then
+          deliver_udp_ready t whole ~mh:Mbuf.no_handle;
+        helper_udp_pass t true rest
+      end
+      else helper_udp_pass t worked rest
 
-let helper_loop t =
-  let charge d = Cpu.compute_proto t.cpu d in
-  let rec pass () =
-    let worked = ref false in
-    (* Integrate any stray fragments. *)
-    (match drain_frag_channel t ~charge with
-     | [] -> ()
-     | completed ->
-         worked := true;
-         List.iter
-           (fun whole ->
-             Trace.proto_deliver t.tracer ~pkt:whole.Packet.ip.Packet.ident
-               ~conn:(-1) ~in_proc:true;
-             charge (t.c.Cost.lazy_locality *. t.c.Cost.udp_in);
-             deliver_udp_ready t whole)
-           completed);
-    (* Process one packet from each backlogged UDP channel — but only while
-       the destination socket queue has room.  A full socket queue means the
-       receiver is not keeping up, and leaving packets in the channel is
-       what lets it fill and shed further load at the NI instead of burning
-       host CPU on datagrams that would be dropped anyway. *)
-    List.iter
-      (fun ch ->
-        let room =
-          match Hashtbl.find_opt t.chan_sock (Channel.id ch) with
-          | Some sock ->
-              Queue.length sock.Socket.udp_rcv < sock.Socket.udp_rcv_limit
-          | None -> false
-        in
-        if room then begin
-          let pkt = Channel.pop ch in
-          if pkt != Packet.null then begin
-            worked := true;
-            let completed =
-              lrp_process_udp_raw t ~charge:(proto_charge t ch) pkt
-            in
-            List.iter (deliver_udp_ready t) completed
-          end
-        end)
-      t.udp_channels;
-    (* Protocol-proxy daemon duties: ICMP echo and RSTs for TCP segments
-       with no endpoint (section 3.5). *)
-    (let pkt = Channel.pop (Chantab.icmp_channel t.chantab) in
-     if pkt != Packet.null then begin
+let rec helper_loop t =
+  let worked = ref false in
+  (* Integrate any stray fragments. *)
+  (match drain_frag_channel t ~flow:(-1) with
+   | [] -> ()
+   | completed ->
        worked := true;
-       charge (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.udp_in));
-       match pkt.Packet.body with
-       | Packet.Tcp _ ->
-           t.stats.rsts_sent <- t.stats.rsts_sent + 1;
-           Tcp.send_rst_for pkt ~emit:(fun p -> ip_output t p)
-       | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ ->
-           (match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-            | Some whole -> icmp_reply t whole
-            | None -> ())
-     end);
-    if !worked then pass ()
-    else begin
-      Proc.block t.helper_wq;
-      pass ()
-    end
-  in
-  pass ()
+       List.iter
+         (fun whole ->
+           Trace.proto_deliver t.tracer ~pkt:whole.Packet.ip.Packet.ident
+             ~conn:(-1) ~in_proc:true;
+           charge_udp_in t ~flow:(-1);
+           deliver_udp_ready t whole ~mh:Mbuf.no_handle)
+         completed);
+  if helper_udp_pass t false t.udp_channels then worked := true;
+  (* Protocol-proxy daemon duties: ICMP echo and RSTs for TCP segments
+     with no endpoint (section 3.5). *)
+  (let pkt = Channel.pop (Chantab.icmp_channel t.chantab) in
+   if pkt != Packet.null then begin
+     worked := true;
+     (Cpu.stage t.cpu).(0) <-
+       t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.udp_in);
+     Cpu.compute_proto t.cpu ~flow:(-1);
+     match pkt.Packet.body with
+     | Packet.Tcp _ ->
+         t.stats.rsts_sent <- t.stats.rsts_sent + 1;
+         Tcp.send_rst_for pkt ~emit:(fun p -> ip_output t p)
+     | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ ->
+         let whole =
+           Ip.Reasm.insert t.reasm ~clock:(Engine.clock_cell t.engine) pkt
+         in
+         if whole != Packet.null then icmp_reply t whole
+   end);
+  if not !worked then Proc.block t.helper_wq;
+  helper_loop t
 
 (* ------------------------------------------------------------------ *)
 (* IP-forwarding daemon (section 3.5)                                   *)
@@ -1808,8 +1870,9 @@ let fwd_daemon_loop t =
   let rec loop () =
     let pkt = Channel.pop ch in
     if pkt != Packet.null then begin
-      Cpu.compute_proto t.cpu ~flow:(Channel.id ch)
-        (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward));
+      (Cpu.stage t.cpu).(0) <-
+        t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward);
+      Cpu.compute_proto t.cpu ~flow:(Channel.id ch);
       t.stats.forwarded <- t.stats.forwarded + 1;
       ip_output t pkt;
       loop ()
@@ -1939,13 +2002,19 @@ let create engine fabric ~name ~ip cfg =
         t.stats.rx_frames <- t.stats.rx_frames + 1;
         rss_steer pkt ~queues)
     in
+    (* One round dequeues at most a budget of frames, and no more than
+       the ring holds (nothing arrives while it runs). *)
+    let batch = max 1 (min cfg.napi_budget cfg.rx_ring) in
     t.napi <-
       Array.init queues (fun qi ->
-          { nq = qi; poll_on = false; episode = 0; last_poll = neg_infinity;
-            in_ksoftirqd = false;
+          { nq = qi; poll_on = false; episode = 0;
+            nf = [| neg_infinity; 0. |]; in_ksoftirqd = false;
             ksoftirqd_wq =
               Proc.waitq (Printf.sprintf "%s.ksoftirqd/%d" name qi);
-            ksoftirqd = None; batch = []; batch_served = 0 });
+            ksoftirqd = None; b_pkt = Array.make batch Packet.null;
+            b_mh = Array.make batch Mbuf.no_handle;
+            b_frag = Array.make batch false; b_len = 0; b_served = 0;
+            tr_len = 0; tr_udp = false; tr_next_seq = 0 });
     Nic.configure_rx_queues nic ~queues ~ring:cfg.rx_ring
       ~coalesce_pkts:cfg.coalesce_pkts ~coalesce_us:cfg.coalesce_us ~steer
       ~kick:(fun qi -> napi_kick t qi);

@@ -121,29 +121,31 @@ type app = {
   chan_pending : (int, unit) Hashtbl.t;
 }
 
-(** One entry of a NAPI poll batch: a packet, its mbuf reservation and
-    whether it is an IP fragment. *)
-type poll_item = {
-  pi_pkt : Lrp_net.Packet.t;
-  pi_mh : Lrp_net.Mbuf.handle;
-  pi_frag : bool;
-}
-
 (** Per-receive-queue NAPI poll context: the "scheduled" bit, the
     packets served since the interrupt was masked (a softirq polling
     episode defers to ksoftirqd once this reaches the budget), the
-    ksoftirqd hand-off flag and the ksoftirqd process itself. *)
+    ksoftirqd hand-off flag, the ksoftirqd process itself, and the poll
+    batch: parallel columns (packet, mbuf reservation, fragment flag)
+    sized to the most frames one round can dequeue, with a held GRO
+    train as the index range [\[b_len, b_len + tr_len)] of [b_pkt]. *)
 type napi = {
   nq : int;
   mutable poll_on : bool;
   mutable episode : int;
-  mutable last_poll : float;
+  nf : float array;
+      (** slot 0: when the last poll round ended; slot 1: the cost of the
+          batch being collected *)
   mutable in_ksoftirqd : bool;
   ksoftirqd_wq : Lrp_sim.Proc.waitq;
   mutable ksoftirqd : Lrp_sim.Proc.t option;
-  mutable batch : poll_item list;
-      (** the collected batch its delivery work item will process *)
-  mutable batch_served : int;
+  b_pkt : Lrp_net.Packet.t array;
+  b_mh : int array;
+  b_frag : bool array;
+  mutable b_len : int;
+  mutable b_served : int;
+  mutable tr_len : int;
+  mutable tr_udp : bool;
+  mutable tr_next_seq : int;
 }
 
 (** The receive path's typed CPU work handlers ({!Lrp_sim.Cpu.target}),
@@ -278,24 +280,24 @@ val register_conn :
   t -> Lrp_proto.Tcp.conn -> owner:Lrp_sim.Proc.t option -> unit
 val deregister_conn : t -> Lrp_proto.Tcp.conn -> unit
 val make_tcp_env : t -> Lrp_proto.Tcp.env
-val datagram_of :
-  ?mh:Lrp_net.Mbuf.handle -> Lrp_net.Packet.t -> Socket.udp_datagram
-val peer_accepts :
-  t -> Socket.t -> Socket.udp_datagram -> bool
-val deposit_and_wake :
-  t -> Socket.t -> Socket.udp_datagram -> unit
-val deliver_udp_ready :
-  ?mh:Lrp_net.Mbuf.handle -> t -> Lrp_net.Packet.t -> unit
+val peer_accepts : t -> Socket.t -> src:Lrp_net.Packet.ip -> sport:int -> bool
+(** Connected-UDP filtering: counts and refuses a datagram from anyone
+    but the socket's default peer. *)
+
+val deliver_udp_ready : t -> Lrp_net.Packet.t -> mh:Lrp_net.Mbuf.handle -> unit
+(** Terminal delivery of a complete UDP datagram: checksum, port lookup,
+    peer filter, deposit on the socket's ready queue (or the members'
+    queues of a multicast group) and wakeup.  [mh] is the mbuf
+    reservation carried from the driver, or [Lrp_net.Mbuf.no_handle]. *)
+
 val icmp_reply : t -> Lrp_net.Packet.t -> unit
 val deliver_tcp :
   t -> Lrp_net.Packet.t -> ctx:[< `Proc | `Soft > `Proc ] -> unit
 val bsd_transport_input :
-  ?mh:Lrp_net.Mbuf.handle -> t -> Lrp_net.Packet.t -> unit
-val transport_cost : t -> Lrp_net.Packet.t -> skip_pcb:bool -> float
-val bsd_soft_cost : t -> Lrp_net.Packet.t -> float
-val bsd_softnet :
-  ?mh:Lrp_net.Mbuf.handle -> t -> Lrp_net.Packet.t -> unit -> unit
-val bsd_driver_rx : t -> Lrp_net.Packet.t -> unit -> unit
+  t -> Lrp_net.Packet.t -> mh:Lrp_net.Mbuf.handle -> unit
+
+val bsd_softnet : t -> Lrp_net.Packet.t -> mh:Lrp_net.Mbuf.handle -> unit
+val bsd_driver_rx : t -> Lrp_net.Packet.t -> unit
 
 val rss_steer : Lrp_net.Packet.t -> queues:int -> int
 (** RSS queue placement: a deterministic integer mix over the packed
@@ -311,15 +313,20 @@ val ni_wake : t -> Lrp_sim.Proc.waitq -> unit
 val lrp_classify_rx : t -> Lrp_net.Packet.t -> unit
 val edemux_rx : t -> Lrp_net.Packet.t -> unit
 val rx_dispatch : t -> Lrp_net.Packet.t -> unit
-val drain_frag_channel : t -> charge:(float -> unit) -> Lrp_net.Packet.t list
-val lrp_process_udp_raw :
-  t -> charge:(float -> unit) -> Lrp_net.Packet.t -> Lrp_net.Packet.t list
+val drain_frag_channel : t -> flow:int -> Lrp_net.Packet.t list
+(** Integrate the fragment channel's pieces into the reassembler,
+    charging each as protocol work on [flow]; returns the datagrams that
+    completed, most recent first. *)
 
-(** [proto_charge t ch] is the [~charge] function receiver-context
-    callers should pass: {!Lrp_sim.Proc.compute} with the segment
-    attributed as protocol work on channel [ch] in the CPU's
-    {!Lrp_sim.Ledger}. *)
-val proto_charge : t -> Lrp_core.Channel.t -> float -> unit
+val lrp_process_udp_raw :
+  t -> Lrp_core.Channel.t -> Lrp_net.Packet.t -> Lrp_net.Packet.t
+(** Lazy IP/UDP input of one raw packet from a UDP channel, in the
+    calling process's context, charged as protocol work on that channel
+    in the CPU's {!Lrp_sim.Ledger}.  Returns the completed datagram for
+    the caller to deliver, or [Lrp_net.Packet.null] when none completed
+    here (datagrams completed from the fragment channel are charged and
+    delivered before it returns). *)
+
 val helper_loop : t -> 'a
 val fwd_daemon_loop : t -> 'a
 val create :

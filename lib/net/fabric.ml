@@ -82,7 +82,10 @@ type fault_state = {
 type port = {
   nic : Nic.t;
   rx_tgt : Packet.t Engine.target;  (* closure-free arrival event *)
-  mutable busy_until : Time.t;
+  busy_until : float array;
+      (* slot 0: when the output port finishes serialising its backlog; a
+         float cell, since a float field of this mixed record would box
+         on every store *)
   mutable rx_frames : int;
   mutable drops : int;
   mutable fstate : fault_state option;
@@ -107,7 +110,7 @@ type uplink = {
   up_min_latency : float;
   up_bandwidth : float;             (* bytes/us *)
   up_buffer_us : float;             (* max uplink backlog, us *)
-  mutable up_busy : Time.t;
+  up_busy : float array;            (* slot 0: uplink busy until *)
   (* SoA outbox: parallel columns, drained at barriers in index order so
      per-source FIFO order is the column order. *)
   mutable ob_ready : float array;   (* earliest effect on the dest cell *)
@@ -145,6 +148,12 @@ type t = {
   switch_latency : float;      (* fixed forwarding latency, us *)
   buffer_us : float;           (* max queueing backlog per port, us *)
   ports : (Packet.ip, port) Hashtbl.t;
+  mutable by_addr : port array;
+      (* the attached ports in address order: multicast replication
+         walks them without snapshotting the table *)
+  frame_at : float array;
+      (* slot 0: the instant a frame reaches the output port, staged for
+         [deliver_frame] (the engine clock, or later under jitter) *)
   mutable total_drops : int;
   mutable loss_rate : float;   (* random frame loss, for fault injection *)
   mutable loss_rng : Rng.t;
@@ -170,7 +179,8 @@ let reorder_flush_us = 2_000.
 let create engine ?(bandwidth_mbps = 155.) ?(prop_delay = 5.)
     ?(switch_latency = 10.) ?(buffer_us = 10_000.) () =
   { engine; bandwidth = Nic.mbps_to_bytes_per_us bandwidth_mbps; prop_delay;
-    switch_latency; buffer_us; ports = Hashtbl.create 8; total_drops = 0;
+    switch_latency; buffer_us; ports = Hashtbl.create 8; by_addr = [||];
+    frame_at = [| 0. |]; total_drops = 0;
     loss_rate = 0.; loss_rng = Rng.split (Engine.rng engine);
     default_port = None; uplink = None; offered = 0; delivered = 0;
     duplicated = 0; fault_lost = 0; corrupted = 0; reordered = 0 }
@@ -181,14 +191,15 @@ let rec attach t nic =
     invalid_arg "Fabric.attach: duplicate IP address";
   let port =
     { nic; rx_tgt = Engine.target t.engine (fun pkt -> Nic.receive nic pkt);
-      busy_until = Time.zero; rx_frames = 0; drops = 0; fstate = None }
+      busy_until = [| Time.zero |]; rx_frames = 0; drops = 0; fstate = None }
   in
   Hashtbl.replace t.ports ip port;
+  t.by_addr <-
+    Array.of_list (List.map snd (Lrp_det.Det.bindings t.ports));
   Nic.set_deliver nic (fun pkt -> forward t pkt)
 
 and forward t pkt =
-  let now = Engine.now t.engine in
-  if t.loss_rate > 0. && Rng.uniform t.loss_rng < t.loss_rate then begin
+  if t.loss_rate > 0. && injected_loss t then begin
     (* Injected random loss (fault-injection tests). *)
     t.offered <- t.offered + 1;
     t.total_drops <- t.total_drops + 1
@@ -197,13 +208,14 @@ and forward t pkt =
     (* Multicast: replicate to every port except the sender's, in address
        order so the replication (and any induced queueing) is independent
        of hash-table layout. *)
-    Lrp_det.Det.iter_sorted
-      (fun ip port ->
-        if ip <> Packet.src pkt then deliver_to t port pkt ~now)
-      t.ports
+    for i = 0 to Array.length t.by_addr - 1 do
+      let port = t.by_addr.(i) in
+      if Nic.ip port.nic <> Packet.src pkt then deliver_to t port pkt
+    done
   else
-  match Hashtbl.find_opt t.ports (Packet.dst pkt) with
-  | None ->
+  match Hashtbl.find t.ports (Packet.dst pkt) with
+  | port -> deliver_to t port pkt
+  | exception Not_found ->
       (* Off-link destination: try the cross-cell uplink first (sharded
          topologies), then the default gateway, else drop as a real
          switch would. *)
@@ -211,16 +223,18 @@ and forward t pkt =
        | Some up when
            (let c = up.up_resolve (Packet.dst pkt) in
             c >= 0 && c <> up.up_cell) ->
-           uplink_forward t up pkt ~now
-       | _ -> gateway_or_drop t pkt ~now)
-  | Some port -> deliver_to t port pkt ~now
+           uplink_forward t up pkt
+       | Some _ | None -> gateway_or_drop t pkt)
 
-and gateway_or_drop t pkt ~now =
+(* The fabric-wide loss draw.  Runs only once a loss rate is set. *)
+and injected_loss t = Rng.uniform t.loss_rng < t.loss_rate
+
+and gateway_or_drop t pkt =
   match t.default_port with
   | Some gw_ip ->
-      (match Hashtbl.find_opt t.ports gw_ip with
-       | Some port -> deliver_to t port pkt ~now
-       | None ->
+      (match Hashtbl.find t.ports gw_ip with
+       | port -> deliver_to t port pkt
+       | exception Not_found ->
            t.offered <- t.offered + 1;
            t.total_drops <- t.total_drops + 1)
   | None ->
@@ -232,23 +246,27 @@ and gateway_or_drop t pkt ~now =
    The local offered/delivered/drop counters are left alone — their
    conservation invariant is per-fabric, and the cross-cell flow has its
    own conservation: sum of up_tx = sum of up_rx + outbox backlog. *)
-and uplink_forward _t up pkt ~now =
+and uplink_forward t up pkt =
+  let now = (Engine.clock_cell t.engine).(0) in
   let dstc = up.up_resolve (Packet.dst pkt) in
   let ser = float_of_int (Packet.wire_bytes pkt) /. up.up_bandwidth in
-  let start = Float.max now up.up_busy in
+  let busy = up.up_busy.(0) in
+  let start = if now >= busy then now else busy in
   if start -. now > up.up_buffer_us then
     up.up_drops <- up.up_drops + 1
   else begin
     let departure = start +. ser in
-    up.up_busy <- departure;
+    up.up_busy.(0) <- departure;
     up.up_tx <- up.up_tx + 1;
-    let ready = departure +. up.up_latency dstc in
     let n = up.ob_len in
     let cap = Array.length up.ob_ready in
     if n = cap then begin
       let cap' = if cap = 0 then 64 else cap * 2 in
+      (* alloc: cold — outbox growth, amortised doubling *)
       let ready' = Array.make cap' 0. in
+      (* alloc: cold — outbox growth, amortised doubling *)
       let dst' = Array.make cap' 0 in
+      (* alloc: cold — outbox growth, amortised doubling *)
       let pkt' = Array.make cap' Packet.null in
       Array.blit up.ob_ready 0 ready' 0 n;
       Array.blit up.ob_dst 0 dst' 0 n;
@@ -257,23 +275,26 @@ and uplink_forward _t up pkt ~now =
       up.ob_dst <- dst';
       up.ob_pkt <- pkt'
     end;
-    up.ob_ready.(n) <- ready;
+    up.ob_ready.(n) <- departure +. up.up_latency dstc;
     up.ob_dst.(n) <- dstc;
     up.ob_pkt.(n) <- pkt;
     up.ob_len <- n + 1
   end
 
-and deliver_to t port pkt ~now =
+and deliver_to t port pkt =
   t.offered <- t.offered + 1;
   match port.fstate with
-  | None -> deliver_frame t port pkt ~now
-  | Some fs -> apply_faults t port fs pkt ~now
+  | None ->
+      t.frame_at.(0) <- (Engine.clock_cell t.engine).(0);
+      deliver_frame t port pkt
+  | Some fs -> apply_faults t port fs pkt
 
 (* Link weather, applied per destination link before serialisation.  Each
    stochastic decision draws from the port's private [frng] only when the
    corresponding knob is non-zero, so a [Faults.none] configuration draws
    nothing and behaves exactly like an unconfigured port. *)
-and apply_faults t port fs pkt ~now =
+and apply_faults t port fs pkt =
+  let now = (Engine.clock_cell t.engine).(0) in
   let f = fs.cfg in
   (* Advance the Gilbert–Elliott channel once per frame. *)
   if f.Faults.ge_p_gb > 0. || f.Faults.ge_p_bg > 0. then begin
@@ -307,7 +328,8 @@ and apply_faults t port fs pkt ~now =
          original may still be held back, which also covers the
          dup-then-reorder interleaving. *)
       t.duplicated <- t.duplicated + 1;
-      deliver_frame t port pkt ~now
+      t.frame_at.(0) <- now;
+      deliver_frame t port pkt
     end;
     if f.Faults.reorder > 0. && Rng.uniform fs.frng < f.Faults.reorder then begin
       (* Hold the frame until [countdown] later frames have overtaken it
@@ -328,7 +350,8 @@ and apply_faults t port fs pkt ~now =
           now +. Rng.float fs.frng f.Faults.jitter_us
         else now
       in
-      deliver_frame t port pkt ~now;
+      t.frame_at.(0) <- now;
+      deliver_frame t port pkt;
       (* This frame overtook everything still held; release frames whose
          displacement bound is reached. *)
       if fs.fheld <> [] then begin
@@ -338,7 +361,8 @@ and apply_faults t port fs pkt ~now =
               h.countdown <- h.countdown - 1;
               if h.countdown <= 0 then begin
                 h.released <- true;
-                deliver_frame t port h.hpkt ~now;
+                t.frame_at.(0) <- now;
+                deliver_frame t port h.hpkt;
                 tick acc rest
               end
               else tick (h :: acc) rest
@@ -348,9 +372,15 @@ and apply_faults t port fs pkt ~now =
     end
   end
 
-and deliver_frame t port pkt ~now =
+(* Serialise a frame onto its output port, starting no earlier than
+   [frame_at.(0)], and schedule its arrival at the NIC.  The start time,
+   the port's busy-until and the arrival deadline all stay in float
+   cells, so a delivery allocates nothing. *)
+and deliver_frame t port pkt =
+  let now = t.frame_at.(0) in
   let ser = float_of_int (Packet.wire_bytes pkt) /. t.bandwidth in
-  let start = Float.max now port.busy_until in
+  let busy = port.busy_until.(0) in
+  let start = if now >= busy then now else busy in
   if start -. now > t.buffer_us then begin
     (* Output buffer exhausted: congestion drop. *)
     port.drops <- port.drops + 1;
@@ -358,11 +388,12 @@ and deliver_frame t port pkt ~now =
   end
   else begin
     let departure = start +. ser in
-    port.busy_until <- departure;
+    port.busy_until.(0) <- departure;
     port.rx_frames <- port.rx_frames + 1;
     t.delivered <- t.delivered + 1;
-    let arrival = departure +. t.switch_latency +. t.prop_delay in
-    ignore (Engine.schedule_to t.engine ~at:arrival port.rx_tgt pkt)
+    (Engine.deadline_cell t.engine).(0) <-
+      departure +. t.switch_latency +. t.prop_delay;
+    ignore (Engine.schedule_to_staged t.engine port.rx_tgt pkt)
   end
 
 (* Timeout release of a held frame (idle link or end of run). *)
@@ -372,7 +403,8 @@ let flush_held t port h =
     (match port.fstate with
      | Some fs -> fs.fheld <- List.filter (fun h' -> h' != h) fs.fheld
      | None -> ());
-    deliver_frame t port h.hpkt ~now:(Engine.now t.engine)
+    t.frame_at.(0) <- Engine.now t.engine;
+    deliver_frame t port h.hpkt
   end
 
 let set_loss_rate t r =
@@ -436,10 +468,9 @@ let inject_now t pkt =
   (match t.uplink with
    | Some up -> up.up_rx <- up.up_rx + 1
    | None -> ());
-  let now = Engine.now t.engine in
   match Hashtbl.find_opt t.ports (Packet.dst pkt) with
-  | Some port -> deliver_to t port pkt ~now
-  | None -> gateway_or_drop t pkt ~now
+  | Some port -> deliver_to t port pkt
+  | None -> gateway_or_drop t pkt
 
 let set_uplink t ~cell ~resolve ~latency ~min_latency
     ?(bandwidth_mbps = 622.) ?(buffer_us = 10_000.) () =
@@ -451,7 +482,7 @@ let set_uplink t ~cell ~resolve ~latency ~min_latency
       { up_cell = cell; up_resolve = resolve; up_latency = latency;
         up_min_latency = min_latency;
         up_bandwidth = Nic.mbps_to_bytes_per_us bandwidth_mbps;
-        up_buffer_us = buffer_us; up_busy = Time.zero;
+        up_buffer_us = buffer_us; up_busy = [| Time.zero |];
         ob_ready = [||]; ob_dst = [||]; ob_pkt = [||]; ob_len = 0;
         up_tx = 0; up_rx = 0; up_drops = 0;
         inject_tgt = Engine.target t.engine (fun pkt -> inject_now t pkt) }

@@ -61,7 +61,8 @@ type port = {
   nic : Nic.t;
   rx_tgt : Packet.t Lrp_engine.Engine.target;
       (** closure-free arrival event for this port *)
-  mutable busy_until : Lrp_engine.Time.t;
+  busy_until : float array;
+      (** slot 0: when the output port finishes serialising its backlog *)
   mutable rx_frames : int;
   mutable drops : int;
   mutable fstate : fault_state option;
@@ -84,7 +85,7 @@ type uplink = {
   up_min_latency : float;              (** infimum of [up_latency] *)
   up_bandwidth : float;                (** uplink rate, bytes/us *)
   up_buffer_us : float;                (** uplink queue bound, us of backlog *)
-  mutable up_busy : Lrp_engine.Time.t;
+  up_busy : float array;              (** slot 0: uplink busy until *)
   mutable ob_ready : float array;      (** outbox: arrival deadline *)
   mutable ob_dst : int array;          (** outbox: destination cell *)
   mutable ob_pkt : Packet.t array;
@@ -124,6 +125,9 @@ type t = {
   switch_latency : float;
   buffer_us : float;
   ports : (Packet.ip, port) Hashtbl.t;
+  mutable by_addr : port array;  (** the ports in address order *)
+  frame_at : float array;
+      (** slot 0: when the frame being delivered reaches its output port *)
   mutable total_drops : int;
   mutable loss_rate : float;
   mutable loss_rng : Lrp_engine.Rng.t;
@@ -148,8 +152,13 @@ val attach : t -> Nic.t -> unit
     @raise Invalid_argument on duplicate addresses. *)
 
 val forward : t -> Packet.t -> unit
-val deliver_to :
-  t -> port -> Packet.t -> now:Lrp_engine.Time.t -> unit
+(** Switch one frame: multicast replication, the destination port, the
+    cross-cell uplink, the default gateway or a drop.  Allocation-free on
+    links without faults. *)
+
+val deliver_to : t -> port -> Packet.t -> unit
+(** Present a frame to a destination port now: link faults, output-port
+    serialisation, and the arrival event at the port's NIC. *)
 
 val set_loss_rate : t -> float -> unit
 (** Uniform random frame loss across the whole fabric, for fault-injection

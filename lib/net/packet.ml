@@ -213,6 +213,28 @@ and ports' w =
   | Tcp (h, _) -> Some (h.tsrc_port, h.tdst_port)
   | Icmp _ | Fragment _ -> None
 
+(* [ports] without the option, one port at a time: 0 where [ports] is
+   [None]. *)
+let body_src_port = function
+  | Udp (u, _) -> u.usrc_port
+  | Tcp (h, _) -> h.tsrc_port
+  | Icmp _ | Fragment _ -> 0
+
+let body_dst_port = function
+  | Udp (u, _) -> u.udst_port
+  | Tcp (h, _) -> h.tdst_port
+  | Icmp _ | Fragment _ -> 0
+
+let src_port_or_zero t =
+  match t.body with
+  | Fragment f -> if f.foff = 0 then body_src_port f.whole.body else 0
+  | body -> body_src_port body
+
+let dst_port_or_zero t =
+  match t.body with
+  | Fragment f -> if f.foff = 0 then body_dst_port f.whole.body else 0
+  | body -> body_dst_port body
+
 let is_tcp t =
   match t.body with
   | Tcp _ -> true

@@ -120,6 +120,12 @@ val ports : t -> (port * port) option
     fragment of) a transport header. *)
 
 val ports' : t -> (port * port) option
+
+val src_port_or_zero : t -> port
+val dst_port_or_zero : t -> port
+(** One port of {!ports} without the option: [0] where {!ports} is
+    [None]. *)
+
 val is_tcp : t -> bool
 val is_udp : t -> bool
 val is_fragment : t -> bool

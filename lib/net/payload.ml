@@ -12,6 +12,9 @@ let synthetic ?(tag = 0) len =
   if len < 0 then invalid_arg "Payload.synthetic: negative length";
   Synthetic { len; tag }
 
+(* The zero-length payload: a filler for emptied queue slots. *)
+let empty = Synthetic { len = 0; tag = 0 }
+
 let of_string s = Bytes (Bytes.of_string s)
 
 let of_bytes b = Bytes b

@@ -10,6 +10,10 @@ type t = Synthetic of { len : int; tag : int; } | Bytes of Bytes.t
     [to_bytes] of a synthetic payload is a deterministic fill. *)
 
 val synthetic : ?tag:int -> int -> t
+
+val empty : t
+(** The zero-length synthetic payload, [synthetic 0]. *)
+
 val of_string : string -> t
 val of_bytes : Bytes.t -> t
 val length : t -> int

@@ -131,6 +131,18 @@ let udp_dst_port_of_packet (pkt : Packet.t) =
       | _ -> -1)
   | _ -> -1
 
+(* Whether a TCP packet (first-fragment aware) is a connection request, a
+   SYN without ACK; [false] for anything else. *)
+let syn_only_of_packet (pkt : Packet.t) =
+  let of_body = function
+    | Packet.Tcp (h, _) ->
+        h.Packet.flags.Packet.syn && not h.Packet.flags.Packet.ack
+    | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false
+  in
+  match pkt.Packet.body with
+  | Packet.Fragment f when f.Packet.foff = 0 -> of_body f.Packet.whole.Packet.body
+  | body -> of_body body
+
 (* Byte-level classifier: mirrors what would run on the adaptor's embedded
    CPU.  Raises nothing: malformed packets classify as [Other_flow]. *)
 let flow_of_bytes b =

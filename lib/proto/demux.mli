@@ -56,3 +56,7 @@ val flow_id_of_packet : Lrp_net.Packet.t -> int
 val udp_dst_port_of_packet : Lrp_net.Packet.t -> int
 (** Destination port of a UDP-classified packet (first-fragment aware);
     [-1] otherwise. *)
+
+val syn_only_of_packet : Lrp_net.Packet.t -> bool
+(** The [syn_only] of a TCP-classified packet's flow (first-fragment
+    aware); [false] otherwise. *)

@@ -59,7 +59,9 @@ module Reasm = struct
     { table = Hashtbl.create 32; timeout; completed = 0; timed_out = 0 }
 
   let ranges_cover have total =
+    (* alloc: cold — fragments: the sorted copy of the received ranges *)
     let sorted = List.sort compare have in
+    (* alloc: cold — fragments: the coverage walk closes over [total] *)
     let rec go expect = function
       | [] -> expect >= total
       | (off, len) :: rest ->
@@ -67,32 +69,41 @@ module Reasm = struct
     in
     go 0 sorted
 
-  (* [insert t ~now frag_pkt] records a fragment.  Returns [Some whole] when
-     the datagram is complete (and forgets it). *)
-  let insert t ~now (pkt : Packet.t) =
+  (* [insert t ~clock pkt] records a fragment, reading the time a new
+     datagram is first seen from [clock.(0)] (the engine's clock cell).
+     Returns the whole datagram when it is complete (and forgets it), or
+     [Packet.null] while pieces are missing.  A non-fragment is its own
+     whole, so the common case allocates nothing. *)
+  let insert t ~clock (pkt : Packet.t) =
     match pkt.Packet.body with
-    | Packet.Udp _ | Packet.Tcp _ | Packet.Icmp _ -> Some pkt
+    | Packet.Udp _ | Packet.Tcp _ | Packet.Icmp _ -> pkt
     | Packet.Fragment f ->
+        (* alloc: cold — fragments: the table is keyed by a pair *)
         let key = (pkt.Packet.ip.Packet.src, pkt.Packet.ip.Packet.ident) in
         let p =
+          (* alloc: cold — fragments and reassembly *)
           match Hashtbl.find_opt t.table key with
           | Some p -> p
           | None ->
               let p =
+                (* alloc: cold — fragments: the first piece of a datagram *)
                 { whole = f.Packet.whole; have = []; total = None;
-                  first_seen = now }
+                  first_seen = clock.(0) }
               in
+              (* alloc: cold — fragments and reassembly *)
               Hashtbl.replace t.table key p;
               p
         in
+        (* alloc: cold — fragments: the received range *)
         p.have <- (f.Packet.foff, f.Packet.flen) :: p.have;
+        (* alloc: cold — fragments: the last piece fixes the length *)
         if f.Packet.last then p.total <- Some (f.Packet.foff + f.Packet.flen);
         (match p.total with
          | Some total when ranges_cover p.have total ->
              Hashtbl.remove t.table key;
              t.completed <- t.completed + 1;
-             Some p.whole
-         | Some _ | None -> None)
+             p.whole
+         | Some _ | None -> Packet.null)
 
   (* Drop incomplete datagrams older than the timeout. *)
   let prune t ~now =

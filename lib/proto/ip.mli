@@ -27,9 +27,11 @@ module Reasm :
     val create : ?timeout:float -> unit -> t
     val ranges_cover : (int * int) list -> int -> bool
     val insert :
-      t -> now:float -> Lrp_net.Packet.t -> Lrp_net.Packet.t option
-    (** Record a fragment; [Some whole] on completion.  Non-fragments pass
-        straight through. *)
+      t -> clock:float array -> Lrp_net.Packet.t -> Lrp_net.Packet.t
+    (** Record a fragment, stamping a new datagram with [clock.(0)];
+        returns the whole datagram on completion and [Lrp_net.Packet.null]
+        while pieces are missing.  Non-fragments pass straight through,
+        allocating nothing. *)
 
     val prune : t -> now:float -> int
     val pending_count : t -> int

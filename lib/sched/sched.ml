@@ -16,7 +16,8 @@ type thread = {
   tid : int;
   name : string;
   mutable nice : int;
-  mutable p_cpu : float;
+  p_cpu : float array;
+      (* 1 slot, for the same reason as [sleep_start]: a tick charges it *)
   mutable priority : int;
   mutable state : state;
   mutable enqueue_seq : int;
@@ -51,15 +52,15 @@ let recompute_priority th =
   | Some owner ->
       th.priority <-
         clamp priority_user priority_max
-          (priority_user + (int_of_float owner.p_cpu / 4) + (2 * owner.nice))
+          (priority_user + (int_of_float owner.p_cpu.(0) / 4) + (2 * owner.nice))
   | None ->
       th.priority <-
         clamp priority_user priority_max
-          (priority_user + (int_of_float th.p_cpu / 4) + (2 * th.nice))
+          (priority_user + (int_of_float th.p_cpu.(0) / 4) + (2 * th.nice))
 
 let add_thread t ?(nice = 0) ~name () =
   let th =
-    { tid = t.next_tid; name; nice = clamp (-20) 20 nice; p_cpu = 0.;
+    { tid = t.next_tid; name; nice = clamp (-20) 20 nice; p_cpu = [| 0. |];
       priority = priority_user; state = Sleeping; enqueue_seq = 0; quantum = 0;
       sleep_start = [| Time.zero |]; account = None; ticks = 0 }
   in
@@ -80,7 +81,7 @@ let name th = th.name
 let tid th = th.tid
 let nice th = th.nice
 let priority th = th.priority
-let p_cpu th = th.p_cpu
+let p_cpu th = th.p_cpu.(0)
 let is_runnable th = th.state = Runnable
 let is_sleeping th = th.state = Sleeping
 let ticks_charged th = th.ticks
@@ -111,11 +112,9 @@ let make_runnable_at t ~clock th =
         (* [decay_factor t.loadavg], written out for the same reason *)
         let load = t.loadavg in
         let f = 2. *. load /. ((2. *. load) +. 1.) in
-        let cpu = ref th.p_cpu in
         for _ = 1 to min slept_sec 20 do
-          cpu := !cpu *. f
-        done;
-        th.p_cpu <- !cpu
+          th.p_cpu.(0) <- th.p_cpu.(0) *. f
+        done
       end;
       recompute_priority th;
       th.state <- Runnable;
@@ -186,7 +185,8 @@ let requeue t th =
 
 let charge_tick _t th =
   let target = match th.account with Some owner -> owner | None -> th in
-  target.p_cpu <- Float.min 255. (target.p_cpu +. 1.);
+  let c = target.p_cpu.(0) +. 1. in
+  target.p_cpu.(0) <- (if c < 255. then c else 255.);
   target.ticks <- target.ticks + 1;
   recompute_priority target;
   recompute_priority th;
@@ -207,8 +207,8 @@ let decay t =
      owner's own decay, as schedcpu() walking the process list does. *)
   for i = t.n - 1 downto 0 do
     let th = t.threads.(i) in
-    th.p_cpu <- (f *. th.p_cpu) +. float_of_int th.nice;
-    if th.p_cpu < 0. then th.p_cpu <- 0.;
+    th.p_cpu.(0) <- (f *. th.p_cpu.(0)) +. float_of_int th.nice;
+    if th.p_cpu.(0) < 0. then th.p_cpu.(0) <- 0.;
     recompute_priority th
   done
 
@@ -224,7 +224,7 @@ let register_metrics t m ~prefix =
 
 let pp_thread fmt th =
   Fmt.pf fmt "%s(tid=%d pri=%d p_cpu=%.1f %s)" th.name th.tid th.priority
-    th.p_cpu
+    th.p_cpu.(0)
     (match th.state with
      | Runnable -> "run"
      | Sleeping -> "sleep"

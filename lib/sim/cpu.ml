@@ -146,6 +146,7 @@ type t = {
   mutable eff_proc : Proc.t option;  (* see [eff_proc] *)
   mutable eff_handler : (unit, unit) Effect.Deep.handler option;
   mutable n_ctx_switch : int;
+  mutable n_suspend : int;  (* effects performed by processes *)
   mutable n_soft_dispatch : int;
   mutable n_hard_dispatch : int;
   created_at : Time.t;
@@ -220,8 +221,8 @@ let charge t =
     else begin
       let p = running_proc t in
       a.(k_user) <- a.(k_user) +. d;
-      p.Proc.cpu_time <- p.Proc.cpu_time +. d;
-      p.Proc.last_on_cpu <- t.clock.(0);
+      p.Proc.tm.cpu_time <- p.Proc.tm.cpu_time +. d;
+      p.Proc.tm.last_on_cpu <- t.clock.(0);
       if p.Proc.lcls = 1 then
         Ledger.charge_cell t.ledger Ledger.Proto ~pid:p.Proc.pid
           ~flow:p.Proc.lflow t.seg
@@ -265,7 +266,7 @@ let stop_running t =
     let l = t.acc.(k_left) -. elapsed in
     let left = if l > 0. then l else 0. in
     if cls = cls_user then begin
-      (running_proc t).Proc.work_left <- left;
+      (running_proc t).Proc.tm.work_left <- left;
       t.r_proc <- None
     end
     else begin
@@ -304,7 +305,7 @@ let rec segment_done t =
   if cls = cls_user then begin
     let p = running_proc t in
     t.r_proc <- None;
-    p.Proc.work_left <- 0.;
+    p.Proc.tm.work_left <- 0.;
     p.Proc.pending <- Proc.Resume;
     run_instant t p
   end
@@ -332,7 +333,7 @@ and run_instant t (p : Proc.t) =
 and reap t (p : Proc.t) =
   Trace.thread_state t.tracer ~pid:p.Proc.pid ~state:Trace.Exited;
   p.Proc.exited <- true;
-  p.Proc.exited_at <- t.clock.(0);
+  p.Proc.tm.exited_at <- t.clock.(0);
   Sched.exit_thread t.sched p.Proc.thread;
   Hashtbl.remove t.procs (Sched.tid p.Proc.thread);
   (match t.cur with Some q when q.Proc.pid = p.Proc.pid -> t.cur <- None | _ -> ());
@@ -417,9 +418,10 @@ and handler t : (unit, unit) Effect.Deep.handler =
     (* alloc: cold — built once per CPU, at its first process start *)
     effc = (fun (type a) (eff : a Effect.t)
              : ((a, unit) Effect.Deep.continuation -> unit) option ->
+      t.n_suspend <- t.n_suspend + 1;
       match eff with
-      | Proc.Compute d ->
-          (eff_proc t).Proc.work_left <- d;
+      | Proc.Compute ->
+          (eff_proc t).Proc.tm.work_left <- t.cost.(0);
           on_compute
       | Proc.Block wq ->
           t.blocked_on <- wq;
@@ -437,15 +439,15 @@ and begin_timed t (p : Proc.t) =
        work occupied the CPU, capped by this process's working set.  This
        keeps the model from compounding reloads into a livelock when a
        process is preempted mid-reload. *)
-    let gap = now -. p.Proc.last_on_cpu in
+    let gap = now -. p.Proc.tm.last_on_cpu in
     let absence = if gap > 0. then gap else 0. in
     let half = 0.5 *. absence in
     let ws = p.Proc.working_set_us in
     let reload = if ws < half then ws else half in
     let overhead = t.ctx_switch_cost +. reload in
     if overhead > 0. then begin
-      p.Proc.work_left <- p.Proc.work_left +. overhead;
-      p.Proc.overhead_time <- p.Proc.overhead_time +. overhead
+      p.Proc.tm.work_left <- p.Proc.tm.work_left +. overhead;
+      p.Proc.tm.overhead_time <- p.Proc.tm.overhead_time +. overhead
     end;
     t.n_ctx_switch <- t.n_ctx_switch + 1;
     Trace.ctx_switch t.tracer ~from_pid:t.last_user ~to_pid:p.Proc.pid;
@@ -454,7 +456,7 @@ and begin_timed t (p : Proc.t) =
   t.cur <- p.Proc.self_opt;
   t.r_cls <- cls_user;
   t.r_proc <- p.Proc.self_opt;
-  t.acc.(k_left) <- p.Proc.work_left;
+  t.acc.(k_left) <- p.Proc.tm.work_left;
   t.acc.(k_started) <- now;
   arm_segment t
 
@@ -636,7 +638,7 @@ let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) ~name () =
       cost = [| 0. |]; cur = None; last_user = -1; in_dispatch = false;
       redo = false; force_resched = false; seg_tgt = None; wake_tgt = None;
       blocked_on = Proc.waitq "(none)"; eff_proc = None; eff_handler = None;
-      n_ctx_switch = 0;
+      n_ctx_switch = 0; n_suspend = 0;
       n_soft_dispatch = 0; n_hard_dispatch = 0; created_at = Engine.now engine;
       tracer = Trace.null (); ledger = Ledger.create (); hint_proto = false;
       hint_poll = false; hint_flow = -1 }
@@ -660,10 +662,12 @@ let spawn t ?(nice = 0) ?(working_set = 0.) ~name body =
   let now = t.clock.(0) in
   let rec p : Proc.t =
     { Proc.pid = t.next_pid; name; thread; working_set_us = working_set;
-      pending = Proc.Start body; work_left = 0.; k = Proc.no_k;
-      exited = false; cpu_time = 0.; overhead_time = 0.;
-      exit_waiters = Proc.waitq (name ^ ".exit"); started_at = now;
-      exited_at = Time.zero; last_on_cpu = now; lcls = 0; lflow = -1;
+      pending = Proc.Start body;
+      tm =
+        { Proc.work_left = 0.; cpu_time = 0.; overhead_time = 0.;
+          started_at = now; exited_at = Time.zero; last_on_cpu = now };
+      k = Proc.no_k; exited = false;
+      exit_waiters = Proc.waitq (name ^ ".exit"); lcls = 0; lflow = -1;
       self_opt = Some p }
   in
   t.next_pid <- t.next_pid + 1;
@@ -722,25 +726,35 @@ let post_soft_to t ~label ~tpkt ~poll (tgt : 'a target) (v : 'a) iarg =
   q.costs.(i) <- t.cost.(0);
   settle t
 
-(* [compute_proto] is [Proc.compute] with ledger attribution: the segment
-   is receiver-context protocol work serving [flow].  The hint is consumed
-   synchronously by the Compute effect handler (or cleared below when the
-   cost is zero and no effect fires), so it cannot leak onto another
-   process's segment. *)
-let compute_proto t ?(flow = -1) cost =
+(* A process segment's cost is staged in the same cell as a typed post's
+   and the constant [Proc.Compute] effect is performed; the handler reads
+   the cell at once.  Passing the cost in the effect would allocate the
+   effect block and box a computed float on every call. *)
+let compute_staged t = if t.cost.(0) > 0. then Effect.perform Proc.Compute
+
+let compute t d =
+  t.cost.(0) <- d;
+  compute_staged t
+
+(* [compute_proto] is [compute_staged] with ledger attribution: the
+   segment is receiver-context protocol work serving [flow].  The hint is
+   consumed synchronously by the Compute effect handler (or cleared below
+   when the cost is zero and no effect fires), so it cannot leak onto
+   another process's segment. *)
+let compute_proto t ~flow =
   t.hint_proto <- true;
   t.hint_flow <- flow;
-  Proc.compute cost;
+  compute_staged t;
   t.hint_proto <- false;
   t.hint_flow <- -1
 
 (* [compute_poll] is the process-context analogue for ksoftirqd: the
    segment is NAPI poll work, ledgered as [Poll] against the polling
    process itself (Linux charges ksoftirqd, not the victim). *)
-let compute_poll t ?(flow = -1) cost =
+let compute_poll t ~flow =
   t.hint_poll <- true;
   t.hint_flow <- flow;
-  Proc.compute cost;
+  compute_staged t;
   t.hint_poll <- false;
   t.hint_flow <- -1
 
@@ -767,6 +781,7 @@ let time_idle t =
   Float.max 0. (elapsed -. time_hard t -. time_soft t -. time_user t)
 
 let context_switches t = t.n_ctx_switch
+let suspensions t = t.n_suspend
 let softirq_dispatches t = t.n_soft_dispatch
 let hardirq_dispatches t = t.n_hard_dispatch
 

@@ -45,7 +45,7 @@ val spawn :
   t -> ?nice:int -> ?working_set:float -> name:string -> (Proc.t -> unit) ->
   Proc.t
 (** Create a process and make it runnable now.  The body runs as a coroutine
-    performing {!Proc.compute} / {!Proc.block} effects. *)
+    performing [Compute] (through {!compute}) and {!Proc.block} effects. *)
 
 val join : Proc.t -> unit
 (** Block the calling process until [p] exits (process context only). *)
@@ -101,8 +101,9 @@ val no_target : 'a target
 
 val stage : t -> float array
 (** The CPU's 1-slot cost cell.  Write the cost of the next typed post
-    into slot 0 immediately before calling {!post_hard_to} or
-    {!post_soft_to}; the post reads it at once. *)
+    or process segment into slot 0 immediately before calling
+    {!post_hard_to}, {!post_soft_to} or one of the staged compute
+    functions; they read it at once. *)
 
 val post_hard_to :
   t -> label:string -> tpkt:int -> 'a target -> 'a -> int -> unit
@@ -121,17 +122,34 @@ val set_account : t -> Proc.t -> owner:Proc.t option -> unit
 
 (** {1 Accounting ledger} *)
 
-val compute_proto : t -> ?flow:int -> float -> unit
-(** [compute_proto t ~flow d] is {!Proc.compute}[ d] with the segment
-    attributed to receiver-context protocol work serving channel [flow]
-    in the CPU's {!Ledger} (LRP's lazy protocol processing, the UDP
-    helper, the forwarding daemon).  Plain [Proc.compute] segments are
-    attributed as application work.  Process context only. *)
+(** {1 Process segments}
 
-val compute_poll : t -> ?flow:int -> float -> unit
-(** [compute_poll t d] is {!Proc.compute}[ d] with the segment attributed
-    to NAPI poll work in the CPU's {!Ledger} (ksoftirqd's process-context
-    polling).  Process context only. *)
+    A process consumes CPU by staging the segment's cost in the {!stage}
+    cell and performing the constant [Proc.Compute] effect, which the
+    CPU's handler answers by reading the cell.  Every function here runs
+    in the context of a process on this CPU.  A zero or negative cost is
+    a no-op. *)
+
+val compute : t -> float -> unit
+(** [compute t d] consumes [d] simulated microseconds of CPU, preemptibly,
+    as application work: [(stage t).(0) <- d; compute_staged t]. *)
+
+val compute_staged : t -> unit
+(** Consume the cost staged in [(stage t).(0)].  The allocation-free form
+    for per-packet call sites: a computed float passed to {!compute} is
+    boxed at the call. *)
+
+val compute_proto : t -> flow:int -> unit
+(** [compute_proto t ~flow] is {!compute_staged} with the segment
+    attributed to receiver-context protocol work serving channel [flow]
+    (or [-1]) in the CPU's {!Ledger} (LRP's lazy protocol processing, the
+    UDP helper, the forwarding daemon).  Plain {!compute} segments are
+    attributed as application work. *)
+
+val compute_poll : t -> flow:int -> unit
+(** [compute_poll t ~flow] is {!compute_staged} with the segment
+    attributed to NAPI poll work in the CPU's {!Ledger} (ksoftirqd's
+    process-context polling). *)
 
 val ledger : t -> Ledger.t
 (** The CPU's always-on cycle-accounting ledger.  Interrupt-level cycles
@@ -165,6 +183,13 @@ val time_poll : t -> float
 
 val time_idle : t -> float
 val context_switches : t -> int
+
+val suspensions : t -> int
+(** Effects performed by processes on this CPU so far (segments, blocks,
+    sleeps, yields), counting foreign effects too.  Each suspension
+    allocates the runtime's continuation, the one per-suspension
+    allocation of the process model. *)
+
 val softirq_dispatches : t -> int
 val hardirq_dispatches : t -> int
 

@@ -1,21 +1,25 @@
 open Lrp_engine
 module Sched = Lrp_sched.Sched
 
+type times = {
+  mutable work_left : float;
+  mutable cpu_time : float;
+  mutable overhead_time : float;
+  mutable started_at : Time.t;
+  mutable exited_at : Time.t;
+  mutable last_on_cpu : Time.t;
+}
+
 type t = {
   pid : int;
   name : string;
   thread : Sched.thread;
   working_set_us : float;
   mutable pending : pending;
-  mutable work_left : float;
+  tm : times;
   mutable k : (unit, unit) Effect.Deep.continuation;
   mutable exited : bool;
-  mutable cpu_time : float;
-  mutable overhead_time : float;
   exit_waiters : waitq;
-  mutable started_at : Time.t;
-  mutable exited_at : Time.t;
-  mutable last_on_cpu : Time.t;
   mutable lcls : int;
   mutable lflow : int;
   self_opt : t option;
@@ -28,10 +32,11 @@ and waitq = {
   mutable wq_procs : t array;
   mutable wq_head : int;
   mutable wq_len : int;
+  mutable wq_block : unit Effect.t;
 }
 
 type _ Effect.t +=
-  | Compute : float -> unit Effect.t
+  | Compute : unit Effect.t
   | Block : waitq -> unit Effect.t
   | Sleep : float -> unit Effect.t
   | Yield : unit Effect.t
@@ -40,15 +45,28 @@ type _ Effect.t +=
    transition into [Resume] first stores a real continuation. *)
 let no_k : (unit, unit) Effect.Deep.continuation = Obj.magic 0
 
-let compute d = if d > 0. then Effect.perform (Compute d)
+let cpu_time p = p.tm.cpu_time
+let overhead_time p = p.tm.overhead_time
+let started_at p = p.tm.started_at
+let exited_at p = p.tm.exited_at
 
-let block wq = Effect.perform (Block wq)
+(* A queue's [Block] effect value is built the first time a process
+   blocks on it and performed again on every later block, so a steady
+   block/wake cycle allocates no effect value: what a suspension still
+   allocates is the runtime's continuation.  Most queues (a socket's
+   send and accept queues, a process's exit waiters) are never blocked
+   on and never build one. *)
+let block wq =
+  (* alloc: cold — once per queue, at its first block *)
+  if wq.wq_block == Yield then wq.wq_block <- Block wq;
+  Effect.perform wq.wq_block
 
 let sleep_for d = Effect.perform (Sleep d)
 
 let yield () = Effect.perform Yield
 
-let waitq wq_name = { wq_name; wq_procs = [||]; wq_head = 0; wq_len = 0 }
+let waitq wq_name =
+  { wq_name; wq_procs = [||]; wq_head = 0; wq_len = 0; wq_block = Yield }
 
 let waitq_length wq = wq.wq_len
 

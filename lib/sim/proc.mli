@@ -2,7 +2,8 @@
 
     A process is an OCaml function run as an effect-handled coroutine.  Host
     OCaml execution is instantaneous in virtual time; simulated CPU
-    consumption happens only where the code performs {!compute}.  This makes
+    consumption happens only where the code performs [Compute] (through
+    {!Cpu.compute}).  This makes
     costs explicit: kernel code paths state how many microseconds of the
     simulated CPU they burn, and the CPU model (see {!Cpu}) interleaves,
     preempts and charges those segments.
@@ -10,12 +11,30 @@
     The effects here are the complete interface between process code and the
     CPU model:
 
-    - [compute d] — consume [d] microseconds of CPU, preemptibly;
+    - [Compute] — consume the microseconds of CPU staged in the CPU's cost
+      cell, preemptibly (performed by {!Cpu.compute});
     - [block wq] — sleep until another party wakes the queue;
     - [sleep_for d] — sleep for [d] microseconds of virtual time;
     - [yield ()] — go to the back of the run queue without sleeping. *)
 
 open Lrp_engine
+
+type times = {
+  mutable work_left : float;
+  mutable cpu_time : float;  (** total simulated CPU consumed, microseconds *)
+  mutable overhead_time : float;
+      (** part of [cpu_time] that was context-switch / cache-reload
+          overhead rather than useful work *)
+  mutable started_at : Time.t;
+  mutable exited_at : Time.t;
+  mutable last_on_cpu : Time.t;
+      (** last instant this process occupied the CPU (for the cache-reload
+          model: eviction grows with absence) *)
+}
+(** A process's time fields.  An all-float record stores its fields flat,
+    so updating them on every charged or preempted segment allocates
+    nothing (a mutable float field of a record that also holds pointers
+    is boxed on every store). *)
 
 type t = {
   pid : int;
@@ -27,21 +46,12 @@ type t = {
           memory-locality effects, e.g. the Table-2 worker whose working set
           covers 35 % of the L2 cache). *)
   mutable pending : pending;
-  mutable work_left : float;
+  tm : times;
   mutable k : (unit, unit) Effect.Deep.continuation;
       (** the suspended body; meaningful only while [pending] is [Work],
           [Resume] or [Blocked] (see {!no_k}) *)
   mutable exited : bool;
-  mutable cpu_time : float;  (** total simulated CPU consumed, microseconds *)
-  mutable overhead_time : float;
-      (** part of [cpu_time] that was context-switch / cache-reload
-          overhead rather than useful work *)
   exit_waiters : waitq;
-  mutable started_at : Time.t;
-  mutable exited_at : Time.t;
-  mutable last_on_cpu : Time.t;
-      (** last instant this process occupied the CPU (for the cache-reload
-          model: eviction grows with absence) *)
   mutable lcls : int;
       (** ledger class of the current compute segment: 0 = app, 1 =
           receiver-context protocol work (set by {!Cpu.compute_proto}),
@@ -67,10 +77,14 @@ and waitq = {
       (** FIFO ring of sleepers; capacity zero or a power of two *)
   mutable wq_head : int;
   mutable wq_len : int;
+  mutable wq_block : unit Effect.t;
+      (** this queue's [Block] effect, built at its first block ([Yield]
+          until then) *)
 }
 
 type _ Effect.t +=
-  | Compute : float -> unit Effect.t
+  | Compute : unit Effect.t
+      (** run the cost staged in the CPU's cell ({!Cpu.compute}) *)
   | Block : waitq -> unit Effect.t
   | Sleep : float -> unit Effect.t
   | Yield : unit Effect.t
@@ -79,12 +93,15 @@ val no_k : (unit, unit) Effect.Deep.continuation
 (** Placeholder stored in [k] before a process first suspends and after
     it is resumed.  It is never continued. *)
 
-val compute : float -> unit
-(** [compute d] consumes [d] simulated microseconds of CPU (no-op when
-    [d <= 0]).  Must be called from process context. *)
+val cpu_time : t -> float
+val overhead_time : t -> float
+val started_at : t -> Time.t
+val exited_at : t -> Time.t
 
 val block : waitq -> unit
-(** Sleep until {!Cpu.wakeup_one} or {!Cpu.wakeup_all} targets the queue. *)
+(** Sleep until {!Cpu.wakeup_one} or {!Cpu.wakeup_all} targets the queue.
+    Performs the queue's own [Block] effect, built at its first block:
+    after that the only allocation is the runtime's continuation. *)
 
 val sleep_for : float -> unit
 (** Sleep for a fixed amount of virtual time. *)

@@ -250,13 +250,13 @@ let demux t ~pkt ~chan ~flow =
   if want t Packet_events then
     match t.packed with
     | Some p -> Precorder.record p ~kind:k_demux ~ident:pkt ~a:chan ~b:flow
-    | None -> record t (Demux { pkt; chan; flow })
+    | None -> record t (Demux { pkt; chan; flow }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let ipq_enqueue t ~pkt ~qlen =
   if want t Packet_events then
     match t.packed with
     | Some p -> Precorder.record p ~kind:k_ipq_enqueue ~ident:pkt ~a:qlen ~b:(-1)
-    | None -> record t (Ipq_enqueue { pkt; qlen })
+    | None -> record t (Ipq_enqueue { pkt; qlen }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let ipq_drop t ~pkt ~qlen =
   if want t Packet_events then
@@ -269,7 +269,7 @@ let early_discard t ~pkt ~chan =
     match t.packed with
     | Some p ->
         Precorder.record p ~kind:k_early_discard ~ident:pkt ~a:chan ~b:(-1)
-    | None -> record t (Early_discard { pkt; chan })
+    | None -> record t (Early_discard { pkt; chan }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let softint_begin t ~pkt =
   if want t Packet_events then
@@ -290,38 +290,38 @@ let proto_deliver t ~pkt ~conn ~in_proc =
     | Some p ->
         Precorder.record p ~kind:k_proto_deliver ~ident:pkt ~a:conn
           ~b:(if in_proc then 1 else 0)
-    | None -> record t (Proto_deliver { pkt; conn; in_proc })
+    | None -> record t (Proto_deliver { pkt; conn; in_proc }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let sock_enqueue t ~pkt ~sock =
   if want t Packet_events then
     match t.packed with
     | Some p -> Precorder.record p ~kind:k_sock_enqueue ~ident:pkt ~a:sock ~b:(-1)
-    | None -> record t (Sock_enqueue { pkt; sock })
+    | None -> record t (Sock_enqueue { pkt; sock }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let sock_drop t ~pkt ~sock =
   if want t Packet_events then
     match t.packed with
     | Some p -> Precorder.record p ~kind:k_sock_drop ~ident:pkt ~a:sock ~b:(-1)
-    | None -> record t (Sock_drop { pkt; sock })
+    | None -> record t (Sock_drop { pkt; sock }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let syscall_copyout t ~pkt ~sock ~bytes =
   if want t Packet_events then
     match t.packed with
     | Some p ->
         Precorder.record p ~kind:k_syscall_copyout ~ident:pkt ~a:sock ~b:bytes
-    | None -> record t (Syscall_copyout { pkt; sock; bytes })
+    | None -> record t (Syscall_copyout { pkt; sock; bytes }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let csum_drop t ~pkt =
   if want t Packet_events then
     match t.packed with
     | Some p -> Precorder.record p ~kind:k_csum_drop ~ident:pkt ~a:(-1) ~b:(-1)
-    | None -> record t (Csum_drop { pkt })
+    | None -> record t (Csum_drop { pkt }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let mbuf_drop t ~pkt =
   if want t Packet_events then
     match t.packed with
     | Some p -> Precorder.record p ~kind:k_mbuf_drop ~ident:pkt ~a:(-1) ~b:(-1)
-    | None -> record t (Mbuf_drop { pkt })
+    | None -> record t (Mbuf_drop { pkt }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let intr_enter t ~level ~label =
   if want t Sched_events then
@@ -364,13 +364,13 @@ let poll_begin t ~q ~pending =
   if want t Sched_events then
     match t.packed with
     | Some p -> Precorder.record p ~kind:k_poll_begin ~ident:q ~a:pending ~b:(-1)
-    | None -> record t (Poll_begin { q; pending })
+    | None -> record t (Poll_begin { q; pending }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let poll_end t ~q ~served =
   if want t Sched_events then
     match t.packed with
     | Some p -> Precorder.record p ~kind:k_poll_end ~ident:q ~a:served ~b:(-1)
-    | None -> record t (Poll_end { q; served })
+    | None -> record t (Poll_end { q; served }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let coalesce_fire t ~q ~pending =
   if want t Sched_events then
@@ -383,13 +383,13 @@ let gro_merge t ~pkt ~into =
   if want t Packet_events then
     match t.packed with
     | Some p -> Precorder.record p ~kind:k_gro_merge ~ident:pkt ~a:into ~b:(-1)
-    | None -> record t (Gro_merge { pkt; into })
+    | None -> record t (Gro_merge { pkt; into }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let gro_flush t ~pkt ~segs =
   if want t Packet_events then
     match t.packed with
     | Some p -> Precorder.record p ~kind:k_gro_flush ~ident:pkt ~a:segs ~b:(-1)
-    | None -> record t (Gro_flush { pkt; segs })
+    | None -> record t (Gro_flush { pkt; segs }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let note t s =
   if want t Note_events then
@@ -397,7 +397,7 @@ let note t s =
     | Some p ->
         Precorder.record p ~kind:k_note ~ident:(-1) ~a:(Precorder.intern p s)
           ~b:(-1)
-    | None -> record t (Note s)
+    | None -> record t (Note s) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let notef t fmt =
   if want t Note_events then Printf.ksprintf (fun s -> note t s) fmt

@@ -61,24 +61,24 @@ let start_source engine nic ~src ~dst:(dip, dport) ?(src_port = 7777)
 type sink = {
   sock : Socket.t;
   mutable received : int;
-  mutable last_rx_at : float;
 }
+
+(* The receive-and-discard loop: [Api.recv] copies each datagram out
+   without building a record for it. *)
+let rec discard kern self sink =
+  Api.recv kern ~self sink.sock;
+  sink.received <- sink.received + 1;
+  discard kern self sink
 
 (* [start_sink kern ~port ()] spawns the blast-server process: bind, then
    receive and discard in a loop. *)
 let start_sink kern ?(nice = 0) ~port () =
   let sock = Api.socket_dgram kern in
-  let sink = { sock; received = 0; last_rx_at = 0. } in
+  let sink = { sock; received = 0 } in
   let _proc =
     Cpu.spawn (Kernel.cpu kern) ~nice ~name:(Printf.sprintf "blast-sink:%d" port)
       (fun self ->
         Api.bind kern sock ~owner:(Some self) ~port;
-        let rec loop () =
-          let _dg = Api.recvfrom kern ~self sock in
-          sink.received <- sink.received + 1;
-          sink.last_rx_at <- Engine.now (Kernel.engine kern);
-          loop ()
-        in
-        try loop () with Api.Socket_closed -> ())
+        try discard kern self sink with Api.Socket_closed -> ())
   in
   sink

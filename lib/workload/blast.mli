@@ -16,9 +16,5 @@ val start_source :
   dst:Lrp_net.Packet.ip * Lrp_net.Packet.port ->
   ?src_port:Lrp_net.Packet.port ->
   rate:float -> size:int -> until:float -> unit -> source
-type sink = {
-  sock : Lrp_kernel.Socket.t;
-  mutable received : int;
-  mutable last_rx_at : float;
-}
+type sink = { sock : Lrp_kernel.Socket.t; mutable received : int; }
 val start_sink : Lrp_kernel.Kernel.t -> ?nice:int -> port:int -> unit -> sink

@@ -241,14 +241,28 @@ let test_self_check () =
   let findings, stats = Adriver.run ~root cfg in
   (* Guard against a silently-degenerate run: the live gate covers many
      entry points, their transitive callees (through lib/sim and
-     lib/sched too: the CPU's post, dispatch, segment-end and wakeup
-     paths), and every cell-resident function. *)
+     lib/sched: the CPU's post, dispatch, segment-end and wakeup paths;
+     through lib/kernel and lib/proto: the UDP receive path of every
+     architecture, wire to recvfrom), and every cell-resident function. *)
   Alcotest.(check bool) "loaded a real build (.cmt count)" true
     (stats.Adriver.cmt_files >= 80);
   Alcotest.(check bool) "walked the hot paths" true
-    (stats.Adriver.funcs_analyzed >= 160);
+    (stats.Adriver.funcs_analyzed >= 280);
   Alcotest.(check bool) "escape-checked the cell dirs" true
-    (stats.Adriver.escape_funcs >= 700);
+    (stats.Adriver.escape_funcs >= 740);
+  Alcotest.(check bool) "follows the receive path" true
+    (List.for_all
+       (fun d -> List.mem d cfg.Aconfig.follow_dirs)
+       [ "lib/kernel"; "lib/proto" ]
+     && List.for_all
+          (fun e -> List.mem e cfg.Aconfig.entries)
+          [ "Fabric.forward"; "Nic.receive"; "Kernel.rx_dispatch";
+            "Kernel.bsd_driver_rx"; "Kernel.bsd_softnet";
+            "Kernel.lrp_classify_rx"; "Kernel.edemux_rx";
+            "Kernel.edemux_softnet"; "Kernel.napi_irq";
+            "Kernel.napi_softirq_round"; "Kernel.napi_deliver_batch";
+            "Kernel.deliver_udp_ready"; "Kernel.lrp_process_udp_raw";
+            "Socket.deposit_udp"; "Api.recv"; "Api.recvfrom" ]);
   Alcotest.(check bool) "follows the CPU layer" true
     (List.mem "lib/sim" cfg.Aconfig.follow_dirs
      && List.mem "lib/sched" cfg.Aconfig.follow_dirs

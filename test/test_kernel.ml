@@ -109,7 +109,7 @@ let test_helper_preprocesses_when_idle () =
          (* Blocked on "I/O" for 50 ms while a packet arrives; the CPU is
             otherwise idle. *)
          Proc.sleep_for (Time.ms 50.);
-         ready_before_recv := not (Queue.is_empty sock.Socket.udp_rcv);
+         ready_before_recv := Socket.ready_count sock > 0;
          let _dg = Api.recvfrom server ~self sock in
          ()));
   ignore
@@ -331,6 +331,151 @@ let test_arch_keys_round_trip () =
     Kernel.archs;
   Alcotest.(check bool) "unknown key" true (Kernel.arch_of_key "lrp" = None)
 
+(* --- Allocation on the UDP receive path, end to end ---------------------- *)
+
+(* A 20k pkts/s blast of 14-byte datagrams from [client] to [dst]:
+   minor words and process suspensions (on both hosts) per offered
+   packet over a one-second window, after a warm-up of 1.2 s. *)
+let blast_window w client server ~dst =
+  let src =
+    Blast.start_source (World.engine w) (Kernel.nic client)
+      ~src:(Kernel.ip_address client) ~dst:(dst, 9000) ~rate:20_000.
+      ~size:14 ~until:(Time.sec 3.) ()
+  in
+  let suspensions () =
+    Cpu.suspensions (Kernel.cpu client) + Cpu.suspensions (Kernel.cpu server)
+  in
+  World.run w ~until:(Time.ms 1_200.);
+  let sent0 = src.Blast.sent and s0 = suspensions () in
+  let w0 = Gc.minor_words () in
+  World.run w ~until:(Time.ms 2_200.);
+  let w1 = Gc.minor_words () in
+  let sent = float_of_int (src.Blast.sent - sent0) in
+  ((w1 -. w0) /. sent, float_of_int (suspensions () - s0) /. sent)
+
+(* What one process suspension allocates (the runtime's continuation),
+   measured on a compute loop. *)
+let words_per_suspension () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~start_clock:false ~name:"c" () in
+  let words = ref 0. in
+  ignore
+    (Cpu.spawn cpu ~name:"p" (fun _ ->
+         for _ = 1 to 100 do Cpu.compute cpu 1. done;
+         let w0 = Gc.minor_words () in
+         for _ = 1 to 10_000 do Cpu.compute cpu 1. done;
+         words := (Gc.minor_words () -. w0) /. 10_000.));
+  Engine.run eng ~until:(Time.sec 1.);
+  !words
+
+(* The receive path, from the fabric to the blast sink's [Api.recv],
+   allocates nothing per packet but the continuations of the processes'
+   suspensions.  The source's own words (its IP header and packet, and
+   anything the build does not inline) are measured by a reference blast
+   at an address no host owns, which the fabric drops on arrival.  The
+   slack of 0.2 words per packet covers what is not per packet: the
+   one-time growth of timer-wheel buckets that a busy CPU's clocks reach
+   for the first time (about 0.05 words per packet in this window). *)
+let test_receive_path_allocation () =
+  let cont = words_per_suspension () in
+  List.iter
+    (fun arch ->
+      let cfg = Kernel.default_config arch in
+      let source_words, _ =
+        let w, client, server = World.pair ~seed:42 ~cfg () in
+        blast_window w client server
+          ~dst:(Kernel.ip_address server + 100)
+      in
+      let words, susp =
+        let w, client, server = World.pair ~seed:42 ~cfg () in
+        let _sink = Blast.start_sink server ~port:9000 () in
+        blast_window w client server ~dst:(Kernel.ip_address server)
+      in
+      let receive = words -. source_words in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%s: receive path %.3f words/pkt <= %.3f suspensions/pkt x %.1f \
+            words + 0.2"
+           (Kernel.arch_name arch) receive susp cont)
+        true
+        (receive <= (susp *. cont) +. 0.2))
+    Kernel.archs
+
+(* --- Channel teardown ------------------------------------------------------ *)
+
+(* [n] connect/close cycles against a server that already holds [idle]
+   open connections.  Returns the minor words per cycle and both hosts'
+   [chan_conn] tables at the end. *)
+let close_cycles arch ~idle ~n =
+  let cfg = { (Kernel.default_config arch) with Kernel.time_wait = Time.ms 20. } in
+  let w, client, server = World.pair ~seed:7 ~cfg () in
+  let dst = (Kernel.ip_address server, 80) in
+  let idle_up = ref false and words = ref 0. in
+  ignore
+    (Cpu.spawn (Kernel.cpu server) ~name:"srv" (fun self ->
+         let l = Api.socket_stream server in
+         Api.tcp_listen server ~self l ~port:80 ~backlog:8;
+         for _ = 1 to idle do ignore (Api.tcp_accept server ~self l) done;
+         for _ = 1 to n do
+           let s = Api.tcp_accept server ~self l in
+           ignore (Api.tcp_recv server ~self s ~max:64);
+           Api.close server ~self s
+         done));
+  ignore
+    (Cpu.spawn (Kernel.cpu client) ~name:"cli" (fun self ->
+         for _ = 1 to idle do
+           ignore (Api.tcp_connect client ~self (Api.socket_stream client) ~remote:dst)
+         done;
+         idle_up := true;
+         Proc.sleep_for (Time.ms 50.);
+         let w0 = Gc.minor_words () in
+         for _ = 1 to n do
+           let s = Api.socket_stream client in
+           ignore (Api.tcp_connect client ~self s ~remote:dst);
+           Api.close client ~self s;
+           Proc.sleep_for (Time.ms 40.)
+         done;
+         words := (Gc.minor_words () -. w0) /. float_of_int n));
+  World.run w ~until:(Time.sec 10.);
+  Alcotest.(check bool) "idle connections established" true !idle_up;
+  (!words, server.Kernel.chan_conn, client.Kernel.chan_conn)
+
+(* Every closed connection's channel is forgotten: after the cycles only
+   the listener (server) and the idle connections remain, and each
+   remaining channel's connection is still open. *)
+let test_chan_conn_forgets_closed () =
+  List.iter
+    (fun arch ->
+      let idle = 5 in
+      let _, srv, cli = close_cycles arch ~idle ~n:30 in
+      let name = Kernel.arch_name arch in
+      Alcotest.(check int) (name ^ ": server channels") (idle + 1)
+        (Hashtbl.length srv);
+      Alcotest.(check int) (name ^ ": client channels") idle (Hashtbl.length cli);
+      List.iter
+        (fun tbl ->
+          Hashtbl.iter (* lint: unordered-ok — membership check only *)
+            (fun _ conn ->
+              Alcotest.(check bool) (name ^ ": a live connection") true
+                (Lrp_proto.Tcp.state conn <> Lrp_proto.Tcp.Closed))
+            tbl)
+        [ srv; cli ])
+    [ Kernel.Soft_lrp; Kernel.Ni_lrp ]
+
+(* Closing a connection costs the same with 1 or 120 other channels open:
+   the channel is found by its connection, not by a scan of the table. *)
+let test_close_cost_independent_of_channels () =
+  List.iter
+    (fun arch ->
+      let few, _, _ = close_cycles arch ~idle:1 ~n:20 in
+      let many, _, _ = close_cycles arch ~idle:120 ~n:20 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: words per close %.0f with 120 open vs %.0f with 1"
+           (Kernel.arch_name arch) many few)
+        true
+        (many -. few < 1_500.))
+    [ Kernel.Soft_lrp; Kernel.Ni_lrp ]
+
 let suite =
   [ Alcotest.test_case "arch keys round-trip" `Quick test_arch_keys_round_trip;
     Alcotest.test_case "icmp echo (all archs)" `Quick (for_all_archs test_icmp_echo);
@@ -354,4 +499,10 @@ let suite =
     Alcotest.test_case "LRP unmatched-packet drops" `Quick
       test_lrp_unmatched_udp_drops;
     Alcotest.test_case "mbuf pool balances" `Quick test_mbuf_balance;
-    Alcotest.test_case "simulation is deterministic" `Quick test_determinism ]
+    Alcotest.test_case "simulation is deterministic" `Quick test_determinism;
+    Alcotest.test_case "receive path allocates only continuations (all archs)"
+      `Quick test_receive_path_allocation;
+    Alcotest.test_case "closed connections leave chan_conn" `Quick
+      test_chan_conn_forgets_closed;
+    Alcotest.test_case "close cost independent of open channels" `Quick
+      test_close_cost_independent_of_channels ]

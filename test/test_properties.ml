@@ -46,7 +46,7 @@ let prop_cpu_time_conservation =
         ignore
           (Cpu.spawn cpu ~name:(Printf.sprintf "p%d" i) (fun _ ->
                for _ = 1 to 20 do
-                 Proc.compute busy;
+                 Cpu.compute cpu busy;
                  Proc.sleep_for idle
                done))
       done;
@@ -77,7 +77,7 @@ let test_equal_procs_get_equal_shares () =
     List.init 4 (fun i ->
         Cpu.spawn cpu ~name:(Printf.sprintf "p%d" i) (fun _ ->
             let rec loop () =
-              Proc.compute 500.;
+              Cpu.compute cpu 500.;
               loop ()
             in
             loop ()))
@@ -85,7 +85,7 @@ let test_equal_procs_get_equal_shares () =
   Engine.run eng ~until:(Time.sec 10.);
   List.iter
     (fun (p : Proc.t) ->
-      let share = p.Proc.cpu_time /. Time.sec 10. in
+      let share = Proc.cpu_time p /. Time.sec 10. in
       Alcotest.(check bool)
         (Printf.sprintf "%s share %.3f within 25%% of fair" p.Proc.name share)
         true
@@ -98,7 +98,7 @@ let test_nice_gets_less () =
   let mk nice name =
     Cpu.spawn cpu ~name ~nice (fun _ ->
         let rec loop () =
-          Proc.compute 500.;
+          Cpu.compute cpu 500.;
           loop ()
         in
         loop ())
@@ -108,11 +108,11 @@ let test_nice_gets_less () =
   Engine.run eng ~until:(Time.sec 10.);
   Alcotest.(check bool)
     (Printf.sprintf "nice +10 got %.2fs vs %.2fs"
-       (Time.to_sec niced.Proc.cpu_time)
-       (Time.to_sec normal.Proc.cpu_time))
+       (Time.to_sec (Proc.cpu_time niced))
+       (Time.to_sec (Proc.cpu_time normal)))
     true
-    (niced.Proc.cpu_time < 0.8 *. normal.Proc.cpu_time
-     && niced.Proc.cpu_time > 0.)
+    (Proc.cpu_time niced < 0.8 *. Proc.cpu_time normal
+     && Proc.cpu_time niced > 0.)
 
 let test_interactive_latency_preserved_under_load () =
   (* A mostly-sleeping process must get the CPU promptly when it wakes,
@@ -124,7 +124,7 @@ let test_interactive_latency_preserved_under_load () =
     ignore
       (Cpu.spawn cpu ~name:(Printf.sprintf "hog%d" i) (fun _ ->
            let rec loop () =
-             Proc.compute 1_000.;
+             Cpu.compute cpu 1_000.;
              loop ()
            in
            loop ()))
@@ -135,7 +135,7 @@ let test_interactive_latency_preserved_under_load () =
          for _ = 1 to 50 do
            Proc.sleep_for (Time.ms 100.);
            let t0 = Engine.now eng in
-           Proc.compute 100.;
+           Cpu.compute cpu 100.;
            Lrp_stats.Stats.Samples.add wait_latency (Engine.now eng -. t0 -. 100.)
          done));
   Engine.run eng ~until:(Time.sec 10.);

@@ -117,11 +117,23 @@ let test_fragment_small_passthrough () =
   | [ p ] -> Alcotest.(check bool) "unchanged" true (p == pkt)
   | _ -> Alcotest.fail "small packet should not fragment"
 
+(* [Ip.Reasm.insert] at time 0, as an option. *)
+let insert r f =
+  let whole = Ip.Reasm.insert r ~clock:[| 0. |] f in
+  if whole == Packet.null then None else Some whole
+
+let test_reasm_passthrough () =
+  let r = Ip.Reasm.create () in
+  let pkt = mk_udp ~len:100 () in
+  Alcotest.(check bool) "a non-fragment is its own whole" true
+    (Ip.Reasm.insert r ~clock:[| 0. |] pkt == pkt);
+  Alcotest.(check int) "nothing pending" 0 (Ip.Reasm.pending_count r)
+
 let test_reasm_in_order () =
   let r = Ip.Reasm.create () in
   let pkt = mk_udp ~len:20_000 () in
   let frags = Ip.fragment pkt ~mtu:9180 in
-  let results = List.map (fun f -> Ip.Reasm.insert r ~now:0. f) frags in
+  let results = List.map (fun f -> insert r f) frags in
   let completions = List.filter_map Fun.id results in
   Alcotest.(check int) "one completion" 1 (List.length completions);
   Alcotest.(check int) "only at the last fragment" 0
@@ -138,7 +150,7 @@ let prop_reasm_any_order =
       Lrp_engine.Rng.shuffle rng frags;
       let completions =
         Array.to_list frags
-        |> List.filter_map (fun f -> Ip.Reasm.insert r ~now:0. f)
+        |> List.filter_map (fun f -> insert r f)
       in
       match completions with
       | [ whole ] -> Packet.payload_length whole = len
@@ -151,14 +163,14 @@ let test_reasm_interleaved_datagrams () =
   let b = mk_udp ~len:20_000 ~sport:2 () in
   let fa = Ip.fragment a ~mtu:9180 and fb = Ip.fragment b ~mtu:9180 in
   let interleaved = List.concat (List.map2 (fun x y -> [ x; y ]) fa fb) in
-  let completions = List.filter_map (fun f -> Ip.Reasm.insert r ~now:0. f) interleaved in
+  let completions = List.filter_map (fun f -> insert r f) interleaved in
   Alcotest.(check int) "both complete" 2 (List.length completions)
 
 let test_reasm_timeout () =
   let r = Ip.Reasm.create ~timeout:1_000. () in
   let pkt = mk_udp ~len:20_000 () in
   (match Ip.fragment pkt ~mtu:9180 with
-   | f :: _ -> ignore (Ip.Reasm.insert r ~now:0. f)
+   | f :: _ -> ignore (insert r f)
    | [] -> Alcotest.fail "no fragments");
   Alcotest.(check int) "pending" 1 (Ip.Reasm.pending_count r);
   let pruned = Ip.Reasm.prune r ~now:2_000. in
@@ -172,9 +184,9 @@ let test_reasm_duplicate_fragments () =
   let frags = Ip.fragment pkt ~mtu:9180 in
   (* Insert the first fragment twice, then the rest. *)
   (match frags with
-   | f :: _ -> ignore (Ip.Reasm.insert r ~now:0. f)
+   | f :: _ -> ignore (insert r f)
    | [] -> ());
-  let completions = List.filter_map (fun f -> Ip.Reasm.insert r ~now:0. f) frags in
+  let completions = List.filter_map (fun f -> insert r f) frags in
   Alcotest.(check int) "still exactly one completion" 1 (List.length completions)
 
 (* --- PCB tables ---------------------------------------------------------- *)
@@ -230,6 +242,8 @@ let suite =
     Alcotest.test_case "garbage classifies as Other" `Quick test_flow_of_bytes_garbage;
     Alcotest.test_case "fragment sizes respect MTU" `Quick test_fragment_sizes;
     Alcotest.test_case "small packets pass through" `Quick test_fragment_small_passthrough;
+    Alcotest.test_case "reassembly passes non-fragments through" `Quick
+      test_reasm_passthrough;
     Alcotest.test_case "reassembly in order" `Quick test_reasm_in_order;
     Alcotest.test_case "reassembly of interleaved datagrams" `Quick
       test_reasm_interleaved_datagrams;

@@ -14,7 +14,7 @@ let test_single_compute () =
   let done_at = ref (-1.) in
   let _p =
     Cpu.spawn cpu ~name:"worker" (fun _self ->
-        Proc.compute 1_000.;
+        Cpu.compute cpu 1_000.;
         done_at := Engine.now eng)
   in
   Engine.run eng ~until:(Time.sec 1.);
@@ -26,9 +26,9 @@ let test_sequential_computes () =
   let marks = ref [] in
   ignore
     (Cpu.spawn cpu ~name:"worker" (fun _ ->
-         Proc.compute 100.;
+         Cpu.compute cpu 100.;
          marks := Engine.now eng :: !marks;
-         Proc.compute 250.;
+         Cpu.compute cpu 250.;
          marks := Engine.now eng :: !marks));
   Engine.run eng ~until:(Time.sec 1.);
   Alcotest.(check (list (float 1e-6))) "marks" [ 100.; 350. ] (List.rev !marks)
@@ -41,7 +41,7 @@ let test_two_procs_share_cpu () =
   let spawn_one name =
     ignore
       (Cpu.spawn cpu ~name (fun _ ->
-           Proc.compute (Time.sec 1.);
+           Cpu.compute cpu (Time.sec 1.);
            Hashtbl.replace finish name (Engine.now eng)))
   in
   spawn_one "a";
@@ -113,7 +113,7 @@ let test_hard_preempts_user () =
   let intr_done = ref (-1.) in
   ignore
     (Cpu.spawn cpu ~name:"worker" (fun _ ->
-         Proc.compute 1_000.;
+         Cpu.compute cpu 1_000.;
          user_done := Engine.now eng));
   ignore
     (Engine.schedule eng ~at:200. (fun () ->
@@ -145,7 +145,7 @@ let test_soft_preempts_user_only () =
   let user_done = ref (-1.) in
   ignore
     (Cpu.spawn cpu ~name:"worker" (fun _ ->
-         Proc.compute 400.;
+         Cpu.compute cpu 400.;
          user_done := Engine.now eng));
   ignore
     (Engine.schedule eng ~at:100. (fun () ->
@@ -162,7 +162,7 @@ let test_interrupt_storm_starves_user () =
   ignore
     (Cpu.spawn cpu ~name:"victim" (fun _ ->
          let rec loop () =
-           Proc.compute 100.;
+           Cpu.compute cpu 100.;
            progressed := !progressed +. 100.;
            loop ()
          in
@@ -188,14 +188,14 @@ let test_priority_preemption () =
   ignore
     (Cpu.spawn cpu ~name:"hog" ~nice:10 (fun _ ->
          let rec loop () =
-           Proc.compute 1_000.;
+           Cpu.compute cpu 1_000.;
            loop ()
          in
          loop ()));
   ignore
     (Cpu.spawn cpu ~name:"interactive" (fun _ ->
          Proc.block wq;
-         Proc.compute 10.;
+         Cpu.compute cpu 10.;
          woke := Engine.now eng));
   ignore (Engine.schedule eng ~at:50_500. (fun () -> ignore (Cpu.wakeup_one cpu wq)));
   Engine.run eng ~until:(Time.sec 1.);
@@ -213,7 +213,7 @@ let test_ctx_switch_penalty () =
   let spawn_one name =
     ignore
       (Cpu.spawn cpu ~name ~working_set:500. (fun _ ->
-           Proc.compute (Time.sec 0.5);
+           Cpu.compute cpu (Time.sec 0.5);
            if Engine.now eng > !finish then finish := Engine.now eng))
   in
   spawn_one "a";
@@ -234,7 +234,7 @@ let test_tick_misaccounting () =
   let victim =
     Cpu.spawn cpu ~name:"victim" (fun _ ->
         let rec loop () =
-          Proc.compute 1_000.;
+          Cpu.compute cpu 1_000.;
           loop ()
         in
         loop ())
@@ -259,7 +259,7 @@ let test_join () =
   let eng, cpu = mk () in
   let joined_at = ref (-1.) in
   let child =
-    Cpu.spawn cpu ~name:"child" (fun _ -> Proc.compute 700.)
+    Cpu.spawn cpu ~name:"child" (fun _ -> Cpu.compute cpu 700.)
   in
   ignore
     (Cpu.spawn cpu ~name:"parent" (fun _ ->
@@ -290,7 +290,7 @@ let test_yield_round_robin () =
     ignore
       (Cpu.spawn cpu ~name (fun _ ->
            for _ = 1 to 3 do
-             Proc.compute 10.;
+             Cpu.compute cpu 10.;
              log := name :: !log;
              Proc.yield ()
            done))
@@ -304,7 +304,7 @@ let test_yield_round_robin () =
 
 let test_idle_time () =
   let eng, cpu = mk () in
-  ignore (Cpu.spawn cpu ~name:"w" (fun _ -> Proc.compute 1_000.));
+  ignore (Cpu.spawn cpu ~name:"w" (fun _ -> Cpu.compute cpu 1_000.));
   Engine.run eng ~until:(Time.ms 10.);
   Alcotest.(check (float 1.)) "idle = elapsed - busy" 9_000. (Cpu.time_idle cpu);
   Alcotest.(check bool) "utilization = 10%" true
@@ -417,12 +417,12 @@ let test_time_conservation () =
   ignore
     (Cpu.spawn cpu ~name:"spin" (fun _ ->
          for _ = 1 to 40 do
-           Proc.compute 300.
+           Cpu.compute cpu 300.
          done));
   ignore
     (Cpu.spawn cpu ~name:"nap" (fun _ ->
          for _ = 1 to 10 do
-           Proc.compute 50.;
+           Cpu.compute cpu 50.;
            Proc.sleep_for 700.
          done));
   for i = 0 to 99 do
