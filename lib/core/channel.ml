@@ -23,6 +23,10 @@
 
 open Lrp_net
 
+(* A channel's name is rendered when it is printed: a connection's channel
+   keeps its two ports instead of a formatted string. *)
+type label = Named of string | Conn of { local_port : int; remote_port : int }
+
 (* The queue is a fixed ring of {!Parena} handles: the NI admits a frame
    into the (usually kernel-shared) descriptor arena and pushes the
    handle — an immediate int — into a flat ring sized exactly [limit]
@@ -33,7 +37,7 @@ open Lrp_net
    pointer indirection on the hottest per-packet loop in the system. *)
 type t = {
   id : int;
-  chan_name : string;
+  label : label;
   arena : Parena.t;
   ring : int array; (* Parena handles *)
   mutable head : int; (* index of the oldest entry *)
@@ -41,6 +45,13 @@ type t = {
   limit : int;
   mutable intr_requested : bool;
   mutable processing_enabled : bool;
+  (* Consumers with a drain job for this channel queued, by id (the
+     kernel's APP threads, by owner pid).  One is the common case and
+     lives in [drain_first] (-1 = none); [drain_more] holds the others,
+     present only while a job queued for an earlier consumer waits. *)
+  mutable drain_first : int;
+  mutable drain_more : int list;
+  mutable retired : bool;         (* deallocated by its owner *)
   (* statistics *)
   mutable enqueued : int;
   mutable discarded : int;        (* early discards: queue full *)
@@ -52,19 +63,29 @@ type t = {
    (Lrp_engine.Idspace), so a cell's id sequence is independent of other
    simulations — and other shards — allocating concurrently. *)
 
-let create ?arena ?(limit = 32) ~name () =
+let make ?arena ?(limit = 32) label =
   let arena =
     (* Real kernels share one arena across all their channels; a channel
        created standalone (tests, microbenches) gets a private one. *)
     match arena with Some a -> a | None -> Parena.create ()
   in
-  { id = Lrp_engine.Idspace.next_chan_id (); chan_name = name;
+  { id = Lrp_engine.Idspace.next_chan_id (); label;
     arena; ring = Array.make (max 1 limit) Parena.none; head = 0; count = 0;
     limit;
-    intr_requested = false; processing_enabled = true; enqueued = 0;
-    discarded = 0; discarded_disabled = 0; hwm = 0 }
+    intr_requested = false; processing_enabled = true; drain_first = -1;
+    drain_more = []; retired = false; enqueued = 0; discarded = 0;
+    discarded_disabled = 0; hwm = 0 }
 
-let name t = t.chan_name
+let create ?arena ?limit ~name () = make ?arena ?limit (Named name)
+
+let create_conn ?arena ?limit ~local_port ~remote_port () =
+  make ?arena ?limit (Conn { local_port; remote_port })
+
+let name t =
+  match t.label with
+  | Named s -> s
+  | Conn { local_port; remote_port } ->
+      Printf.sprintf "tcp:%d<-%d" local_port remote_port
 let id t = t.id
 
 type enqueue_result =
@@ -175,11 +196,32 @@ let disable_processing t = t.processing_enabled <- false
 
 let processing_enabled t = t.processing_enabled
 
+let rec mem_int x = function [] -> false | y :: rest -> y = x || mem_int x rest
+
+let rec remove_int x = function
+  | [] -> []
+  | y :: rest -> if y = x then rest else y :: remove_int x rest
+
+let drain_queued t ~consumer =
+  t.drain_first = consumer || mem_int consumer t.drain_more
+
+let queue_drain t ~consumer =
+  if t.drain_first < 0 then t.drain_first <- consumer
+  else t.drain_more <- consumer :: t.drain_more
+
+let start_drain t ~consumer =
+  if t.drain_first = consumer then t.drain_first <- -1
+  else t.drain_more <- remove_int consumer t.drain_more
+
+let retire t = t.retired <- true
+
+let retired t = t.retired
+
 let enqueued t = t.enqueued
 let discarded t = t.discarded
 let discarded_disabled t = t.discarded_disabled
 let high_watermark t = t.hwm
 
 let pp fmt t =
-  Fmt.pf fmt "chan %s#%d [%d/%d] in=%d drop=%d" t.chan_name t.id
+  Fmt.pf fmt "chan %s#%d [%d/%d] in=%d drop=%d" (name t) t.id
     t.count t.limit t.enqueued (t.discarded + t.discarded_disabled)

@@ -33,6 +33,13 @@ val create : ?arena:Lrp_net.Parena.t -> ?limit:int -> name:string -> unit -> t
     pool; standalone channels get a private arena), and the queue itself
     is a flat ring of handles sized exactly [limit]. *)
 
+val create_conn :
+  ?arena:Lrp_net.Parena.t -> ?limit:int -> local_port:int -> remote_port:int ->
+  unit -> t
+(** {!create} for a TCP connection's channel, named
+    [tcp:LOCAL_PORT<-REMOTE_PORT].  The name is formatted only when it is
+    read, so opening a connection builds no string. *)
+
 val name : t -> string
 
 val id : t -> int
@@ -88,6 +95,28 @@ val disable_processing : t -> unit
     disabled, every enqueue is discarded cheaply (section 3.4). *)
 
 val processing_enabled : t -> bool
+
+(** {2 Queued drain jobs}
+
+    Which consumers (by a non-negative id; the kernel uses its APP
+    threads' owner pids) have a drain job for this channel queued.  A
+    consumer with a job queued needs no second one for a new arrival.
+    Usually there is at most one; a channel that changes consumer while
+    a job waits can have several, each tracked exactly. *)
+
+val drain_queued : t -> consumer:int -> bool
+
+val queue_drain : t -> consumer:int -> unit
+(** [consumer] queued a drain job. *)
+
+val start_drain : t -> consumer:int -> unit
+(** [consumer]'s queued drain job started. *)
+
+val retire : t -> unit
+(** Mark the channel deallocated by its owner; the kernel sheds retired
+    channels from its reporting list in batches. *)
+
+val retired : t -> bool
 
 val enqueued : t -> int
 (** Packets accepted since creation. *)

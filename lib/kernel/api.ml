@@ -75,7 +75,7 @@ let bind k (sock : Socket.t) ~owner ~port =
     Chantab.add_udp (Kernel.chantab k) ~port ch;
     Hashtbl.replace k.Kernel.chan_sock (Channel.id ch) sock;
     sock.Socket.chan <- Some ch;
-    k.Kernel.all_channels <- ch :: k.Kernel.all_channels;
+    Kernel.add_channel k ch;
     k.Kernel.udp_channels <- ch :: k.Kernel.udp_channels
   end
 
@@ -110,7 +110,7 @@ let join_group k (sock : Socket.t) ~owner ~group ~port =
               ~name:(Printf.sprintf "udp-mcast:%d" port) ()
           in
           Chantab.add_udp (Kernel.chantab k) ~port ch;
-          k.Kernel.all_channels <- ch :: k.Kernel.all_channels;
+          Kernel.add_channel k ch;
           k.Kernel.udp_channels <- ch :: k.Kernel.udp_channels
         end;
         m
@@ -343,7 +343,7 @@ let tcp_listen k ~(self : Proc.t) (sock : Socket.t) ~port ~backlog =
     Chantab.add_tcp_listen (Kernel.chantab k) ~port ch;
     Hashtbl.replace k.Kernel.chan_conn (Channel.id ch) listener;
     Hashtbl.replace k.Kernel.conn_chan listener.Tcp.id ch;
-    k.Kernel.all_channels <- ch :: k.Kernel.all_channels
+    Kernel.add_channel k ch
   end
 
 let listener_exn (sock : Socket.t) =
@@ -485,7 +485,7 @@ let close k ~(self : Proc.t) (sock : Socket.t) =
                  | Some ch ->
                      Chantab.remove_udp (Kernel.chantab k) ~port;
                      Hashtbl.remove k.Kernel.chan_sock (Channel.id ch);
-                     Kernel.drop_channel k (Channel.id ch);
+                     Kernel.drop_channel k ch;
                      k.Kernel.udp_channels <-
                        List.filter
                          (fun c -> Channel.id c <> Channel.id ch)
@@ -506,7 +506,7 @@ let close k ~(self : Proc.t) (sock : Socket.t) =
                        | Some ch ->
                            Hashtbl.remove k.Kernel.chan_conn (Channel.id ch);
                            Hashtbl.remove k.Kernel.conn_chan conn.Tcp.id;
-                           Kernel.drop_channel k (Channel.id ch)
+                           Kernel.drop_channel k ch
                        | None -> ()
                      end
                  | None -> ());

@@ -147,12 +147,14 @@ type kstats = {
 
 type job = Jchan of Channel.t | Jtimer of (unit -> unit)
 
+(* An APP thread has at most one drain job per channel queued; the
+   channel records which APP threads have one ({!Channel.drain_queued}),
+   so a post needs no per-thread table. *)
 type app = {
   app_owner : Proc.t;
   jobs : job Queue.t;
   app_wq : Proc.waitq;
   mutable app_proc : Proc.t option;
-  chan_pending : (int, unit) Hashtbl.t;  (* channel ids with a queued job *)
 }
 
 (* Per-receive-queue NAPI poll context (Napi / Napi_gro / Rss).  [poll_on]
@@ -258,7 +260,9 @@ type t = {
   mbufs : Mbuf.t;
   (* --- endpoint tables --- *)
   udp_ports : (int, Socket.t) Hashtbl.t;
-  tcp_conns : (Packet.ip * int * int, Tcp.conn) Hashtbl.t; (* src,sport,dport *)
+  tcp_conns : Tcp.conn option Flowtab.t;
+      (* connections by packed key: [hi] = remote address, [lo] = remote
+         port lsl 16 lor local port (see [conn_lo]) *)
   tcp_listeners : (int, Tcp.conn) Hashtbl.t;
   conn_sock : (int, Socket.t) Hashtbl.t;   (* conn id -> socket *)
   conn_owner : (int, Proc.t) Hashtbl.t;    (* conn id -> owning process *)
@@ -274,6 +278,10 @@ type t = {
   chan_conn : (int, Tcp.conn) Hashtbl.t;   (* channel id -> connection *)
   conn_chan : (int, Channel.t) Hashtbl.t;  (* connection id -> its channel *)
   mutable all_channels : Channel.t list;
+      (* newest first; may still hold retired channels (see
+         [drop_channel]) — read it through [channels] *)
+  mutable listed_channels : int;   (* entries in [all_channels] *)
+  mutable retired_channels : int;  (* retired entries not yet compacted *)
   apps : (int, app) Hashtbl.t;             (* owner pid -> APP thread *)
   helper_wq : Proc.waitq;
   mutable helper_proc : Proc.t option;
@@ -313,7 +321,6 @@ let arch t = t.cfg.arch
 let ip_address t = t.ip_addr
 let chantab t = t.chantab
 let mbufs t = t.mbufs
-let channels t = t.all_channels
 let lrp_mode t = is_lrp t.cfg.arch
 let now t = Engine.now t.engine
 
@@ -340,15 +347,36 @@ let rec best_route dst best best_len = function
    interface is the default route. *)
 let route t dst = best_route dst t.nic 0 t.interfaces
 
-(* Forget a deallocated channel (reporting list). *)
-let drop_channel t chid =
+(* The reporting list of channels.  Dropping a channel only marks it
+   retired; the list sheds its retired entries in one pass once they
+   make up half of it, or when it is read, so a close costs O(1)
+   amortised instead of a filter over every open channel. *)
+let add_channel t ch =
+  t.all_channels <- ch :: t.all_channels;
+  t.listed_channels <- t.listed_channels + 1
+
+(* Amortised: one pass per as many drops as there are live channels. *)
+let compact_channels t =
   t.all_channels <-
-    List.filter (fun ch -> Channel.id ch <> chid) t.all_channels
+    List.filter (fun ch -> not (Channel.retired ch)) t.all_channels;
+  t.listed_channels <- t.listed_channels - t.retired_channels;
+  t.retired_channels <- 0
+
+let drop_channel t ch =
+  if not (Channel.retired ch) then begin
+    Channel.retire ch;
+    t.retired_channels <- t.retired_channels + 1;
+    if 2 * t.retired_channels >= t.listed_channels then compact_channels t
+  end
+
+let channels t =
+  if t.retired_channels > 0 then compact_channels t;
+  t.all_channels
 
 let early_discards t =
   List.fold_left
     (fun acc ch -> acc + Channel.discarded ch + Channel.discarded_disabled ch)
-    0 t.all_channels
+    0 (channels t)
 
 let tracer t = t.tracer
 let metrics t = t.metrics
@@ -356,12 +384,15 @@ let metrics t = t.metrics
 let set_tracing t on = Trace.set_enabled t.tracer on
 let tracing t = Trace.enabled t.tracer
 
-(* Only the TCP and APP-thread paths write notes. *)
+(* Only the TCP and APP-thread paths write notes.  Even a disabled note
+   is not free: [Printf.ifprintf] still builds a closure per argument, so
+   every call site tests [Trace.enabled] first and only reaches here when
+   tracing is on. *)
 let trc t fmt =
   if Trace.enabled t.tracer then
     (* alloc: cold — TCP/APP-thread notes, formatted only when tracing *)
     Printf.ksprintf (fun s -> Trace.note t.tracer s) fmt
-  (* alloc: cold — TCP/APP-thread notes: the format consumes its arguments *)
+  (* alloc: cold — an unguarded note with tracing off *)
   else Printf.ifprintf () fmt
 
 let tcp_env_exn t =
@@ -372,13 +403,18 @@ let tcp_env_exn t =
 (* ------------------------------------------------------------------ *)
 
 (* Hand a datagram to IP output: fragment to the MTU and enqueue on the
-   interface.  Pure state manipulation; CPU cost is charged by the caller
-   (process context for sends; interrupt/APP context for protocol-generated
-   segments). *)
+   interface.  A datagram that fits goes straight to the interface; only
+   one that needs fragmenting builds the fragment list.  Pure state
+   manipulation; CPU cost is charged by the caller (process context for
+   sends; interrupt/APP context for protocol-generated segments). *)
 let ip_output t pkt =
   let nic = route t (Packet.dst pkt) in
-  let frags = Ip.fragment pkt ~mtu:t.cfg.mtu in
-  List.iter (fun f -> ignore (Nic.transmit nic f)) frags
+  if Packet.wire_bytes pkt <= t.cfg.mtu then ignore (Nic.transmit nic pkt)
+  else
+    List.iter
+      (* alloc: cold — only a datagram larger than the MTU is fragmented *)
+      (fun f -> ignore (Nic.transmit nic f))
+      (Ip.fragment pkt ~mtu:t.cfg.mtu)
 
 (* Per-segment transmit cost (protocol output + driver). *)
 let seg_out_cost t = t.c.Cost.tcp_out +. t.c.Cost.ip_out +. t.c.Cost.driver_tx
@@ -449,16 +485,14 @@ let napi_grace_rearm t (n : napi) =
     (Engine.clock_cell t.engine).(0) +. napi_repoll;
   ignore (Engine.schedule_to_staged t.engine g n.ksoftirqd_wq)
 
-let sock_of_conn t conn = Hashtbl.find_opt t.conn_sock conn.Tcp.id
-
 (* LRP gates the listening socket's channel on the backlog: once exceeded,
    protocol processing is disabled and further SYNs die cheaply at the NI
    channel (section 3.4). *)
 let update_listen_gate t (listener : Tcp.conn) =
   if lrp_mode t then
-    match Hashtbl.find_opt t.conn_chan listener.Tcp.id with
-    | None -> ()
-    | Some ch ->
+    match Hashtbl.find t.conn_chan listener.Tcp.id with
+    | exception Not_found -> ()
+    | ch ->
         let load =
           listener.Tcp.syn_pending + Queue.length listener.Tcp.accept_queue
         in
@@ -474,9 +508,10 @@ let rec app_loop t app =
   | Some job ->
       (match job with
        | Jchan ch ->
-           Hashtbl.remove app.chan_pending (Channel.id ch);
-           trc t "app %s: drain chan %d (len=%d)" app.app_owner.Proc.name
-             (Channel.id ch) (Channel.length ch);
+           Channel.start_drain ch ~consumer:app.app_owner.Proc.pid;
+           if Trace.enabled t.tracer then
+             trc t "app %s: drain chan %d (len=%d)" app.app_owner.Proc.name
+               (Channel.id ch) (Channel.length ch);
            drain_tcp_channel t ch
        | Jtimer f ->
            (Cpu.stage t.cpu).(0) <- t.c.Cost.lazy_locality *. t.c.Cost.tcp_in;
@@ -488,7 +523,8 @@ let rec app_loop t app =
         (* The APP thread dies with its process. *)
         Hashtbl.remove t.apps app.app_owner.Proc.pid
       else begin
-        trc t "app %s: block" app.app_owner.Proc.name;
+        if Trace.enabled t.tracer then
+          trc t "app %s: block" app.app_owner.Proc.name;
         Proc.block app.app_wq;
         app_loop t app
       end
@@ -502,9 +538,9 @@ and drain_tcp_channel t ch =
        | Bsd | Soft_lrp | Early_demux | Napi | Napi_gro | Rss -> 0.)
       +. (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in));
     Cpu.compute_proto t.cpu ~flow:(Channel.id ch);
-    (match Hashtbl.find_opt t.chan_conn (Channel.id ch) with
-     | None -> () (* connection vanished: discard *)
-     | Some conn ->
+    (match Hashtbl.find t.chan_conn (Channel.id ch) with
+     | exception Not_found -> () (* connection vanished: discard *)
+     | conn ->
          tcp_deliver t conn pkt ~ctx:`Proc;
          if Tcp.state conn = Tcp.Listen then update_listen_gate t conn);
     drain_tcp_channel t ch
@@ -533,13 +569,13 @@ and tcp_deliver t conn pkt ~ctx =
   end
 
 and app_for t (owner : Proc.t) =
-  match Hashtbl.find_opt t.apps owner.Proc.pid with
-  | Some app -> app
-  | None ->
+  match Hashtbl.find t.apps owner.Proc.pid with
+  | app -> app
+  | exception Not_found ->
       let app =
         { app_owner = owner; jobs = Queue.create ();
           app_wq = Proc.waitq (Printf.sprintf "app.%s" owner.Proc.name);
-          app_proc = None; chan_pending = Hashtbl.create 8 }
+          app_proc = None }
       in
       Hashtbl.replace t.apps owner.Proc.pid app;
       let proc =
@@ -570,34 +606,35 @@ let rec orphan_drain t ch () =
         (orphan_drain t ch)
   end
 
+let post_orphan_drain t ch =
+  Cpu.post_soft t.cpu ~label:"tcp-orphan"
+    ~cost:(t.c.Cost.soft_dispatch
+           +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)))
+    (orphan_drain t ch)
+
 let app_post_chan t conn ch =
-  let fallback () =
-    Cpu.post_soft t.cpu ~label:"tcp-orphan"
-      ~cost:(t.c.Cost.soft_dispatch
-             +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)))
-      (orphan_drain t ch)
-  in
-  match Hashtbl.find_opt t.conn_owner conn.Tcp.id with
-  | None -> fallback ()
-  | Some owner ->
-      if owner.Proc.exited then fallback ()
+  match Hashtbl.find t.conn_owner conn.Tcp.id with
+  | exception Not_found -> post_orphan_drain t ch
+  | owner ->
+      if owner.Proc.exited then post_orphan_drain t ch
       else begin
         let app = app_for t owner in
-        if not (Hashtbl.mem app.chan_pending (Channel.id ch)) then begin
-          Hashtbl.replace app.chan_pending (Channel.id ch) ();
+        if not (Channel.drain_queued ch ~consumer:owner.Proc.pid) then begin
+          Channel.queue_drain ch ~consumer:owner.Proc.pid;
           Queue.add (Jchan ch) app.jobs;
-          trc t "post chan %d job for %s" (Channel.id ch) owner.Proc.name
+          if Trace.enabled t.tracer then
+            trc t "post chan %d job for %s" (Channel.id ch) owner.Proc.name
         end;
         wake_one t app.app_wq
       end
 
 let app_post_timer t conn f =
-  match Hashtbl.find_opt t.conn_owner conn.Tcp.id with
-  | Some owner when not owner.Proc.exited ->
+  match Hashtbl.find t.conn_owner conn.Tcp.id with
+  | owner when not owner.Proc.exited ->
       let app = app_for t owner in
       Queue.add (Jtimer f) app.jobs;
       wake_one t app.app_wq
-  | Some _ | None ->
+  | _ | (exception Not_found) ->
       (* Orphaned connection (e.g. TIME_WAIT after exit): fall back to
          software-interrupt context so it still makes progress. *)
       Cpu.post_soft t.cpu ~label:"tcp-timer"
@@ -607,24 +644,30 @@ let app_post_timer t conn f =
 (* Connection registration                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The [lo] word of a connection's packed key in [tcp_conns] ([hi] is the
+   remote address); ports are 16-bit. *)
+let conn_lo ~remote_port ~local_port = (remote_port lsl 16) lor local_port
+
 let register_conn t conn ~owner =
   match conn.Tcp.remote with
   | None -> invalid_arg "register_conn: no remote"
   | Some (rip, rport) ->
-      Hashtbl.replace t.tcp_conns (rip, rport, conn.Tcp.local_port) conn;
+      Flowtab.add t.tcp_conns ~hi:rip
+        ~lo:(conn_lo ~remote_port:rport ~local_port:conn.Tcp.local_port)
+        (Some conn);
       (match owner with
        | Some o -> Hashtbl.replace t.conn_owner conn.Tcp.id o
        | None -> ());
       if lrp_mode t then begin
         let ch =
-          Channel.create ~arena:t.parena ~limit:t.cfg.channel_limit
-            ~name:(Printf.sprintf "tcp:%d<-%d" conn.Tcp.local_port rport) ()
+          Channel.create_conn ~arena:t.parena ~limit:t.cfg.channel_limit
+            ~local_port:conn.Tcp.local_port ~remote_port:rport ()
         in
         Chantab.add_tcp t.chantab ~src:rip ~src_port:rport
           ~dst_port:conn.Tcp.local_port ch;
         Hashtbl.replace t.chan_conn (Channel.id ch) conn;
         Hashtbl.replace t.conn_chan conn.Tcp.id ch;
-        t.all_channels <- ch :: t.all_channels
+        add_channel t ch
       end
 
 (* A registered connection owns exactly one channel: [register_conn]
@@ -640,17 +683,20 @@ let drop_conn_channel t conn =
       let chid = Channel.id ch in
       if Hashtbl.mem t.chan_conn chid then begin
         Hashtbl.remove t.chan_conn chid;
-        drop_channel t chid
+        drop_channel t ch
       end
 
 let deregister_conn t conn =
   match conn.Tcp.remote with
   | None -> ()
   | Some (rip, rport) ->
-      (match Hashtbl.find_opt t.tcp_conns (rip, rport, conn.Tcp.local_port) with
-       | Some c when c.Tcp.id = conn.Tcp.id ->
-           Hashtbl.remove t.tcp_conns (rip, rport, conn.Tcp.local_port)
-       | Some _ | None -> ());
+      let lo = conn_lo ~remote_port:rport ~local_port:conn.Tcp.local_port in
+      let slot = Flowtab.find t.tcp_conns ~hi:rip ~lo in
+      (if slot >= 0 then
+         match Flowtab.value t.tcp_conns slot with
+         | Some c when c.Tcp.id = conn.Tcp.id ->
+             ignore (Flowtab.remove t.tcp_conns ~hi:rip ~lo)
+         | Some _ | None -> ());
       if lrp_mode t then begin
         Chantab.remove_tcp t.chantab ~src:rip ~src_port:rport
           ~dst_port:conn.Tcp.local_port;
@@ -701,6 +747,16 @@ let timer_target t =
       t.timer_tgt <- Some g;
       g
 
+(* Wake the chosen wait queues (in this order) of [conn]'s socket, if it
+   still has one. *)
+let wake_conn_sock t (conn : Tcp.conn) ~send ~recv ~accept =
+  match Hashtbl.find t.conn_sock conn.Tcp.id with
+  | s ->
+      if send then wake_all t s.Socket.send_wait;
+      if recv then wake_all t s.Socket.recv_wait;
+      if accept then wake_all t s.Socket.accept_wait
+  | exception Not_found -> ()
+
 let make_tcp_env t =
   { Tcp.now = (fun () -> Engine.now t.engine);
     emit = (fun pkt -> ip_output t pkt);
@@ -710,46 +766,23 @@ let make_tcp_env t =
           Engine.schedule_to_after t.engine ~delay (timer_target t) tm);
     stop_timer = (fun tm -> Engine.cancel t.engine tm.Tcp.cookie);
     on_readable =
-      (fun conn ->
-        match sock_of_conn t conn with
-        | Some s -> wake_all t s.Socket.recv_wait
-        | None -> ());
+      (fun conn -> wake_conn_sock t conn ~send:false ~recv:true ~accept:false);
     on_writable =
-      (fun conn ->
-        match sock_of_conn t conn with
-        | Some s -> wake_all t s.Socket.send_wait
-        | None -> ());
+      (fun conn -> wake_conn_sock t conn ~send:true ~recv:false ~accept:false);
     on_established =
-      (fun conn ->
-        match sock_of_conn t conn with
-        | Some s ->
-            wake_all t s.Socket.send_wait;
-            wake_all t s.Socket.recv_wait
-        | None -> ());
+      (fun conn -> wake_conn_sock t conn ~send:true ~recv:true ~accept:false);
     on_accept_ready =
       (fun listener _child ->
-        match sock_of_conn t listener with
-        | Some s -> wake_all t s.Socket.accept_wait
-        | None -> ());
+        wake_conn_sock t listener ~send:false ~recv:false ~accept:true);
     on_syn_received =
       (fun listener child ->
         let owner = Hashtbl.find_opt t.conn_owner listener.Tcp.id in
         register_conn t child ~owner);
     on_connect_failed =
-      (fun conn ->
-        match sock_of_conn t conn with
-        | Some s ->
-            wake_all t s.Socket.send_wait;
-            wake_all t s.Socket.recv_wait
-        | None -> ());
+      (fun conn -> wake_conn_sock t conn ~send:true ~recv:true ~accept:false);
     on_reset =
-      (fun conn ->
-        match sock_of_conn t conn with
-        | Some s ->
-            wake_all t s.Socket.send_wait;
-            wake_all t s.Socket.recv_wait;
-            wake_all t s.Socket.accept_wait
-        | None -> ());
+      (fun conn -> wake_conn_sock t conn ~send:true ~recv:true ~accept:true);
+    on_embryo_gone = (fun listener -> update_listen_gate t listener);
     on_time_wait =
       (fun conn ->
         (* NI-LRP deallocates the channel on entry to TIME_WAIT so that NI
@@ -765,11 +798,7 @@ let make_tcp_env t =
       (fun conn ->
         deregister_conn t conn;
         Hashtbl.remove t.conn_owner conn.Tcp.id;
-        match sock_of_conn t conn with
-        | Some s ->
-            wake_all t s.Socket.send_wait;
-            wake_all t s.Socket.recv_wait
-        | None -> ());
+        wake_conn_sock t conn ~send:true ~recv:true ~accept:false);
     mss = t.cfg.mss;
     time_wait_duration = t.cfg.time_wait;
     initial_rto = t.cfg.initial_rto;
@@ -875,21 +904,31 @@ let icmp_reply t (pkt : Packet.t) =
            Packet.Echo_reply payload)
   | Packet.Icmp _ | Packet.Udp _ | Packet.Tcp _ | Packet.Fragment _ -> ()
 
+(* The connection [pkt] belongs to: a packed-key probe straight off the
+   packet's fields, [None] when no connection matches. *)
+let find_conn t (pkt : Packet.t) ~dport =
+  let slot =
+    Flowtab.find t.tcp_conns ~hi:(Packet.src pkt)
+      ~lo:(conn_lo ~remote_port:(Packet.src_port_or_zero pkt) ~local_port:dport)
+  in
+  if slot < 0 then None else Flowtab.value t.tcp_conns slot
+
+(* Input of a whole TCP segment: to its connection, else to the listener
+   on its port, else an RST. *)
 let deliver_tcp t (pkt : Packet.t) ~ctx =
-  match Packet.ports pkt with
-  | None -> ()
-  | Some (sport, dport) ->
-      (match Hashtbl.find_opt t.tcp_conns (pkt.Packet.ip.Packet.src, sport, dport) with
-       | Some conn -> tcp_deliver t conn pkt ~ctx
-       | None ->
-           (match Hashtbl.find_opt t.tcp_listeners dport with
-            | Some listener -> tcp_deliver t listener pkt ~ctx
-            | None ->
-                (* Don't answer garbage with a RST. *)
-                if csum_ok t pkt then begin
-                  t.stats.rsts_sent <- t.stats.rsts_sent + 1;
-                  Tcp.send_rst_for pkt ~emit:(fun p -> ip_output t p)
-                end))
+  let dport = Packet.dst_port_or_zero pkt in
+  match find_conn t pkt ~dport with
+  | Some conn -> tcp_deliver t conn pkt ~ctx
+  | None -> (
+      match Hashtbl.find t.tcp_listeners dport with
+      | listener -> tcp_deliver t listener pkt ~ctx
+      | exception Not_found ->
+          (* Don't answer garbage with a RST. *)
+          if csum_ok t pkt then begin
+            t.stats.rsts_sent <- t.stats.rsts_sent + 1;
+            (* alloc: cold — an RST is a new segment *)
+            Tcp.send_rst_for pkt ~emit:(fun p -> ip_output t p)
+          end)
 
 (* Transport-level processing of a complete (reassembled) datagram; runs in
    softint context under BSD / Early-Demux. *)
@@ -1543,9 +1582,10 @@ let lrp_classify_rx t pkt =
                      (section 3.3). *)
                   ni_wake t t.helper_wq
             | Demux.Tcp_class ->
-                trc t "rx tcp chan %d len=%d trans=%s" (Channel.id ch)
-                  (Channel.length ch)
-                  (if was_empty then "empty" else "ne");
+                if Trace.enabled t.tracer then
+                  trc t "rx tcp chan %d len=%d trans=%s" (Channel.id ch)
+                    (Channel.length ch)
+                    (if was_empty then "empty" else "ne");
                 (* The APP thread drains until empty, so only the
                    empty-to-non-empty transition needs a notification —
                    under NI demux that keeps host interrupts rare. *)
@@ -1553,7 +1593,8 @@ let lrp_classify_rx t pkt =
                   (match Hashtbl.find t.chan_conn (Channel.id ch) with
                    | conn -> ni_wake_app t conn ch
                    | exception Not_found ->
-                       trc t "rx tcp chan %d: NO CONN" (Channel.id ch))
+                       if Trace.enabled t.tracer then
+                         trc t "rx tcp chan %d: NO CONN" (Channel.id ch))
             | Demux.Frag_class ->
                 (* Fragments needing reassembly: the helper integrates them
                    if no receiver does it lazily first. *)
@@ -1614,24 +1655,20 @@ let edemux_softnet t pkt mh =
 (* The early check of a TCP segment: discard when the connection's
    receive buffer is full, or when a SYN finds a full listen backlog. *)
 let edemux_tcp t pkt =
-  let dst_port = Packet.dst_port_or_zero pkt in
-  (* alloc: cold — TCP: the connection table is keyed by a triple *)
-  let key = (Packet.src pkt, Packet.src_port_or_zero pkt, dst_port) in
-  (* alloc: cold — TCP: the connection lookup *)
-  match Hashtbl.find_opt t.tcp_conns key with
+  let dport = Packet.dst_port_or_zero pkt in
+  match find_conn t pkt ~dport with
   | Some conn ->
       if conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit then edemux_drop t pkt
       else edemux_eager t pkt
   | None ->
       if Demux.syn_only_of_packet pkt then
-        (* alloc: cold — TCP connection establishment *)
-        match Hashtbl.find_opt t.tcp_listeners dst_port with
-        | Some l ->
+        match Hashtbl.find t.tcp_listeners dport with
+        | l ->
             if l.Tcp.syn_pending + Queue.length l.Tcp.accept_queue
                >= l.Tcp.backlog
             then edemux_drop t pkt
             else edemux_eager t pkt
-        | None ->
+        | exception Not_found ->
             (* No endpoint: process eagerly so TCP answers with an RST, as
                the BSD code this kernel is derived from does. *)
             edemux_eager t pkt
@@ -1906,13 +1943,14 @@ let create engine fabric ~name ~ip cfg =
       ipq_len = 0; mbufs = Mbuf.create ~capacity:cfg.mbuf_capacity ();
       parena;
       interfaces = [];
-      udp_ports = Hashtbl.create 64; tcp_conns = Hashtbl.create 256;
+      udp_ports = Hashtbl.create 64; tcp_conns = Flowtab.create ~dummy:None ();
       tcp_listeners = Hashtbl.create 16; conn_sock = Hashtbl.create 256;
       conn_owner = Hashtbl.create 256; chantab = Chantab.create ~arena:parena ();
       chan_sock = Hashtbl.create 64; mcast_members = Hashtbl.create 8;
       chan_conn = Hashtbl.create 256;
       conn_chan = Hashtbl.create 256;
-      all_channels = []; apps = Hashtbl.create 16;
+      all_channels = []; listed_channels = 0; retired_channels = 0;
+      apps = Hashtbl.create 16;
       helper_wq = Proc.waitq (name ^ ".udp-helper"); helper_proc = None;
       fwd_wq = Proc.waitq (name ^ ".ipfwdd"); fwd_proc = None;
       udp_channels = []; napi = [||]; napi_grace_tgt = None;
@@ -1929,9 +1967,9 @@ let create engine fabric ~name ~ip cfg =
   t.interfaces <- [ (ip, 24, nic) ];
   register_rx_targets t;
   t.tcp_env <- Some (make_tcp_env t);
-  t.all_channels <-
-    [ Chantab.frag_channel t.chantab; Chantab.icmp_channel t.chantab;
-      Chantab.fwd_channel t.chantab ];
+  add_channel t (Chantab.fwd_channel t.chantab);
+  add_channel t (Chantab.icmp_channel t.chantab);
+  add_channel t (Chantab.frag_channel t.chantab);
   Nic.set_rx_handler nic (fun pkt -> rx_dispatch t pkt);
   Cpu.set_tracer cpu tracer;
   Nic.set_tracer nic tracer;
@@ -1954,14 +1992,21 @@ let create engine fabric ~name ~ip cfg =
   g "kernel.rsts_sent" (fun () -> t.stats.rsts_sent);
   g "kernel.csum_drops" (fun () -> t.stats.csum_drops);
   g "kernel.ipq_len" (fun () -> t.ipq_len);
-  g "kernel.channels" (fun () -> List.length t.all_channels);
+  g "kernel.channels" (fun () -> List.length (channels t));
   g "kernel.early_discards" (fun () -> early_discards t);
+  (* Sums over the connection table: listeners are not in it, so their
+     counters (notably [syn_drops_backlog]) never reach these gauges. *)
   List.iter
     (fun key ->
       g ("tcp." ^ key) (fun () ->
-          Lrp_det.Det.fold_sorted
-            (fun _ conn acc -> acc + List.assoc key (Tcp.counters conn))
-            t.tcp_conns 0))
+          let sum = ref 0 in
+          Flowtab.iter
+            (fun ~hi:_ ~lo:_ conn ->
+              match conn with
+              | Some conn -> sum := !sum + List.assoc key (Tcp.counters conn)
+              | None -> ())
+            t.tcp_conns;
+          !sum))
     [ "segs_sent"; "segs_rcvd"; "bytes_sent"; "bytes_rcvd"; "retransmits";
       "syn_drops_backlog" ];
   (* Engine timer-churn counters: how many events were scheduled/fired/

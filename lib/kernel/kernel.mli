@@ -118,8 +118,10 @@ type app = {
   jobs : job Queue.t;
   app_wq : Lrp_sim.Proc.waitq;
   mutable app_proc : Lrp_sim.Proc.t option;
-  chan_pending : (int, unit) Hashtbl.t;
 }
+(** An owner's APP thread.  It has at most one [Jchan] job per channel
+    queued; the channel tracks which APP threads have one
+    ({!Lrp_core.Channel.drain_queued}, keyed by owner pid). *)
 
 (** Per-receive-queue NAPI poll context: the "scheduled" bit, the
     packets served since the interrupt was masked (a softirq polling
@@ -177,7 +179,10 @@ type t = {
   mutable ipq_len : int;
   mbufs : Lrp_net.Mbuf.t;
   udp_ports : (int, Socket.t) Hashtbl.t;
-  tcp_conns : (Lrp_net.Packet.ip * int * int, Lrp_proto.Tcp.conn) Hashtbl.t;
+  tcp_conns : Lrp_proto.Tcp.conn option Lrp_core.Flowtab.t;
+      (** registered connections (never listeners) by packed key: [hi] is
+          the remote address, [lo] is [remote_port lsl 16 lor
+          local_port]; values are always [Some] *)
   tcp_listeners : (int, Lrp_proto.Tcp.conn) Hashtbl.t;
   conn_sock : (int, Socket.t) Hashtbl.t;
   conn_owner : (int, Lrp_sim.Proc.t) Hashtbl.t;
@@ -189,6 +194,10 @@ type t = {
   chan_conn : (int, Lrp_proto.Tcp.conn) Hashtbl.t;
   conn_chan : (int, Lrp_core.Channel.t) Hashtbl.t;
   mutable all_channels : Lrp_core.Channel.t list;
+      (** newest first, possibly with retired channels not yet shed: read
+          it through {!channels}, add to it through {!add_channel} *)
+  mutable listed_channels : int;
+  mutable retired_channels : int;
   apps : (int, app) Hashtbl.t;
   helper_wq : Lrp_sim.Proc.waitq;
   mutable helper_proc : Lrp_sim.Proc.t option;
@@ -221,16 +230,24 @@ val arch : t -> arch
 val ip_address : t -> Lrp_net.Packet.ip
 val chantab : t -> Lrp_core.Chantab.t
 val mbufs : t -> Lrp_net.Mbuf.t
-val channels : t -> Lrp_core.Channel.t list
 val lrp_mode : t -> bool
 val now : t -> Lrp_engine.Time.t
 val is_local_addr : t -> Lrp_net.Packet.ip -> bool
 val route : t -> int -> Lrp_net.Nic.t
-val drop_channel : t -> int -> unit
-(** Forget a deallocated channel by id (bookkeeping for the reporting
-    list). *)
+val add_channel : t -> Lrp_core.Channel.t -> unit
+(** Put a new channel at the head of the reporting list. *)
+
+val drop_channel : t -> Lrp_core.Channel.t -> unit
+(** Forget a deallocated channel: it is marked retired and leaves the
+    reporting list in a batch, so a drop costs O(1) amortised however
+    many channels are open.  Dropping it again does nothing. *)
+
+val channels : t -> Lrp_core.Channel.t list
+(** The live channels, newest first. *)
 
 val early_discards : t -> int
+(** Early discards (full queue or disabled processing) summed over the
+    live channels. *)
 
 val tracer : t -> Lrp_trace.Trace.t
 (** The kernel's structured tracer.  Disabled by default; enable with
@@ -240,14 +257,21 @@ val tracer : t -> Lrp_trace.Trace.t
 val metrics : t -> Lrp_trace.Metrics.t
 (** The kernel's metrics registry.  Kernel, CPU, NIC, reassembly and TCP
     instruments are registered at construction; snapshot with
-    {!Lrp_trace.Metrics.snapshot}. *)
+    {!Lrp_trace.Metrics.snapshot}.
+
+    The [tcp.*] gauges sum the counters of the connections in
+    [tcp_conns] only.  Listeners are never in that table, so their
+    counters are left out; in particular [tcp.syn_drops_backlog], which
+    only a listener increments, always reads 0. *)
 
 val set_tracing : t -> bool -> unit
 val tracing : t -> bool
 
 val trc : t -> ('a, unit, string, unit) format4 -> 'a
 (** Formatted note into the kernel's tracer ([Note] event class); a no-op
-    when tracing is disabled. *)
+    when tracing is disabled.  Not a free one: the arguments still go
+    through [Printf.ifprintf], which builds a closure per argument, so a
+    hot path tests {!tracing} before calling it. *)
 
 val tcp_env_exn : t -> Lrp_proto.Tcp.env
 val ip_output : t -> Lrp_net.Packet.t -> unit
@@ -264,7 +288,6 @@ val recv_timeout_target :
 (* Typed recvfrom-timeout expiry dispatcher (registered on first use):
    sets the flag and wakes the socket's receive waiters. *)
 val wake_one : t -> Lrp_sim.Proc.waitq -> unit
-val sock_of_conn : t -> Lrp_proto.Tcp.conn -> Socket.t option
 val update_listen_gate : t -> Lrp_proto.Tcp.conn -> unit
 val app_loop : t -> app -> unit
 val drain_tcp_channel : t -> Lrp_core.Channel.t -> unit

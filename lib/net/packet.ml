@@ -33,6 +33,16 @@ let flags ?(syn = false) ?(ack = false) ?(fin = false) ?(rst = false)
     ?(psh = false) () =
   { syn; ack; fin; rst; psh }
 
+(* The flag combinations TCP sends, built once at initialisation: a
+   segment names one of these instead of building its own, so emitting a
+   segment or a SYN allocates no flag record. *)
+let flags_syn = flags ~syn:true ()
+let flags_syn_ack = flags ~syn:true ~ack:true ()
+let flags_ack = flags ~ack:true ()
+let flags_ack_psh = flags ~ack:true ~psh:true ()
+let flags_fin_ack = flags ~fin:true ~ack:true ()
+let flags_rst_ack = flags ~rst:true ~ack:true ()
+
 let pp_flags fmt f =
   let s b c = if b then c else "" in
   Fmt.pf fmt "%s%s%s%s%s" (s f.syn "S") (s f.ack "A") (s f.fin "F") (s f.rst "R")
@@ -187,7 +197,7 @@ let icmp ~src ~dst kind payload =
    last real packet that passed through it.  Never enters the data path. *)
 let null =
   { ip = { src = 0; dst = 0; ident = 0; ttl = 0; csum = 0 };
-    body = Icmp (Echo_request, Payload.synthetic 0) }
+    body = Icmp (Echo_request, Payload.empty) }
 
 (* --- accessors used by demux and protocol code ----------------------- *)
 

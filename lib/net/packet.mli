@@ -24,6 +24,19 @@ type tcp_flags = {
 val flags :
   ?syn:bool ->
   ?ack:bool -> ?fin:bool -> ?rst:bool -> ?psh:bool -> unit -> tcp_flags
+
+(** {2 Shared flag constants}
+
+    The combinations TCP emits, as immutable constants: senders use these
+    instead of {!flags}, so a segment allocates no flag record. *)
+
+val flags_syn : tcp_flags
+val flags_syn_ack : tcp_flags
+val flags_ack : tcp_flags
+val flags_ack_psh : tcp_flags
+val flags_fin_ack : tcp_flags
+val flags_rst_ack : tcp_flags
+
 val pp_flags : Format.formatter -> tcp_flags -> unit
 type udp_header = { usrc_port : port; udst_port : port; }
 type tcp_header = {

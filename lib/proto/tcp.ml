@@ -86,6 +86,10 @@ and env = {
           its PCB / channel tables so later segments demultiplex to it *)
   on_connect_failed : conn -> unit;
   on_reset : conn -> unit;
+  on_embryo_gone : conn -> unit;
+      (** an embryonic child left this listener's backlog without being
+          accepted (SYN-ACK retries exhausted, reset, or closed): the
+          listener's load fell *)
   on_time_wait : conn -> unit;
       (** entered TIME_WAIT: NI-LRP uses this to deallocate the NI channel
           early so channels scale to many connections (section 4.2) *)
@@ -189,7 +193,10 @@ let remote_exn c =
   | Some r -> r
   | None -> invalid_arg "Tcp: connection has no remote endpoint"
 
-let segment c ?(payload = Payload.synthetic 0) ~seq fl =
+(* Build the next segment of [c].  Zero-length segments pass
+   [Payload.empty] and a shared flag constant, so the segment's own
+   headers and packet record are all it allocates. *)
+let segment c ~seq fl payload =
   let rip, rport = remote_exn c in
   c.segs_sent <- c.segs_sent + 1;
   c.last_advertised_wnd <- advertised_window c;
@@ -197,7 +204,8 @@ let segment c ?(payload = Payload.synthetic 0) ~seq fl =
     ~seq ~ack_no:c.rcv_nxt ~flags:fl ~window:(min 65_535 c.last_advertised_wnd)
     payload
 
-let send_ack c = c.env.emit (segment c ~seq:c.snd_nxt (Packet.flags ~ack:true ()))
+let send_ack c =
+  c.env.emit (segment c ~seq:c.snd_nxt Packet.flags_ack Payload.empty)
 
 let send_rst_for (pkt : Packet.t) ~emit =
   (* Standalone RST in response to a segment for a nonexistent connection. *)
@@ -213,8 +221,7 @@ let send_rst_for (pkt : Packet.t) ~emit =
           ~src_port:h.Packet.tdst_port ~dst_port:h.Packet.tsrc_port
           ~seq:(if h.Packet.flags.Packet.ack then h.Packet.ack_no else 0)
           ~ack_no:(h.Packet.seq + seg_len)
-          ~flags:(Packet.flags ~rst:true ~ack:true ())
-          ~window:0 (Payload.synthetic 0)
+          ~flags:Packet.flags_rst_ack ~window:0 Payload.empty
       in
       emit rst
   | Packet.Tcp _ | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> ()
@@ -253,6 +260,14 @@ let timer_fired tm ~gen =
     tm.on_fire (timer_conn tm)
   end
 
+(* An embryonic child leaves its listener's backlog unaccepted. *)
+let leave_backlog c =
+  match c.parent with
+  | Some l ->
+      l.syn_pending <- max 0 (l.syn_pending - 1);
+      c.env.on_embryo_gone l
+  | None -> ()
+
 let in_flight c = c.snd_nxt - c.snd_una
 
 let send_window c = min c.snd_wnd (int_of_float c.cwnd)
@@ -279,15 +294,13 @@ and on_rtx_timeout c =
         c.syn_retries <- c.syn_retries + 1;
         c.backoff <- c.backoff + 1;
         c.retransmits <- c.retransmits + 1;
-        c.env.emit (segment c ~seq:(c.snd_una) (Packet.flags ~syn:true ()));
+        c.env.emit (segment c ~seq:c.snd_una Packet.flags_syn Payload.empty);
         arm_rtx c
       end
   | Syn_received ->
       if c.syn_retries >= c.env.max_syn_retries then begin
         (* Give up on the embryonic connection. *)
-        (match c.parent with
-         | Some l -> l.syn_pending <- max 0 (l.syn_pending - 1)
-         | None -> ());
+        leave_backlog c;
         enter_closed c
       end
       else begin
@@ -295,7 +308,7 @@ and on_rtx_timeout c =
         c.backoff <- c.backoff + 1;
         c.retransmits <- c.retransmits + 1;
         c.env.emit
-          (segment c ~seq:c.snd_una (Packet.flags ~syn:true ~ack:true ()));
+          (segment c ~seq:c.snd_una Packet.flags_syn_ack Payload.empty);
         arm_rtx c
       end
   | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Last_ack | Closing ->
@@ -314,12 +327,11 @@ and retransmit_oldest c =
   match c.unacked with
   | (seq, payload) :: _ ->
       c.retransmits <- c.retransmits + 1;
-      let fl = Packet.flags ~ack:true () in
-      c.env.emit (segment c ~payload ~seq fl)
+      c.env.emit (segment c ~seq Packet.flags_ack payload)
   | [] ->
       if c.fin_queued && c.fin_seq >= 0 && c.snd_una <= c.fin_seq then begin
         c.retransmits <- c.retransmits + 1;
-        c.env.emit (segment c ~seq:c.fin_seq (Packet.flags ~fin:true ~ack:true ()))
+        c.env.emit (segment c ~seq:c.fin_seq Packet.flags_fin_ack Payload.empty)
       end
 
 (* ------------------------------------------------------------------ *)
@@ -344,8 +356,10 @@ and output c =
       (* PSH only on the segment that drains the send queue (BSD's
          TF_MORETOCOME sense): mid-buffer segments leave it clear, which
          is what lets a receive-offload engine aggregate them. *)
-      let psh = c.unsent_bytes = 0 in
-      c.env.emit (segment c ~payload ~seq (Packet.flags ~ack:true ~psh ()));
+      let fl =
+        if c.unsent_bytes = 0 then Packet.flags_ack_psh else Packet.flags_ack
+      in
+      c.env.emit (segment c ~seq fl payload);
       progress := true;
       send_more ()
     end
@@ -355,7 +369,7 @@ and output c =
   if c.fin_queued && c.unsent_bytes = 0 && c.fin_seq < 0 then begin
     c.fin_seq <- c.snd_nxt;
     c.snd_nxt <- c.snd_nxt + 1;
-    c.env.emit (segment c ~seq:c.fin_seq (Packet.flags ~fin:true ~ack:true ()));
+    c.env.emit (segment c ~seq:c.fin_seq Packet.flags_fin_ack Payload.empty);
     progress := true
   end;
   if !progress then begin
@@ -374,7 +388,7 @@ and on_persist_timeout c =
     let seq = c.snd_nxt in
     c.unacked <- c.unacked @ [ (seq, payload) ];
     c.snd_nxt <- c.snd_nxt + 1;
-    c.env.emit (segment c ~payload ~seq (Packet.flags ~ack:true ()));
+    c.env.emit (segment c ~seq Packet.flags_ack payload);
     arm_rtx c
   end
 
@@ -585,10 +599,7 @@ and input c (pkt : Packet.t) =
         | Closed | Listen | Time_wait -> ()
         | Syn_sent | Syn_received | Established | Fin_wait_1 | Fin_wait_2
         | Close_wait | Last_ack | Closing ->
-            (match c.parent with
-             | Some l when c.state = Syn_received ->
-                 l.syn_pending <- max 0 (l.syn_pending - 1)
-             | Some _ | None -> ());
+            if c.state = Syn_received then leave_backlog c;
             disarm_rtx c;
             c.state <- Closed;
             c.env.on_reset c;
@@ -620,7 +631,7 @@ and input c (pkt : Packet.t) =
             if h.Packet.flags.Packet.syn && not h.Packet.flags.Packet.ack then
               (* Duplicate SYN: re-send SYN-ACK. *)
               c.env.emit
-                (segment c ~seq:c.snd_una (Packet.flags ~syn:true ~ack:true ()))
+                (segment c ~seq:c.snd_una Packet.flags_syn_ack Payload.empty)
             else if h.Packet.flags.Packet.ack && h.Packet.ack_no = c.snd_nxt
             then begin
               c.snd_una <- h.Packet.ack_no;
@@ -667,7 +678,7 @@ and listener_input l (pkt : Packet.t) (h : Packet.tcp_header) =
       c.snd_nxt <- 1 (* our SYN consumes sequence 0 *);
       l.syn_pending <- l.syn_pending + 1;
       l.env.on_syn_received l c;
-      c.env.emit (segment c ~seq:0 (Packet.flags ~syn:true ~ack:true ()));
+      c.env.emit (segment c ~seq:0 Packet.flags_syn_ack Payload.empty);
       arm_rtx c
     end
   end
@@ -690,7 +701,7 @@ let create_active env ~local_ip ~local_port ~remote ?sndq_limit
   c.snd_una <- 0;
   c.snd_nxt <- 1;
   c.timing <- Some (1, env.now ());
-  c.env.emit (segment c ~seq:0 (Packet.flags ~syn:true ()));
+  c.env.emit (segment c ~seq:0 Packet.flags_syn Payload.empty);
   arm_rtx c;
   c
 
@@ -757,10 +768,7 @@ let close c =
       c.fin_queued <- true;
       output c
   | Syn_sent | Syn_received ->
-      (match c.parent with
-       | Some l when c.state = Syn_received ->
-           l.syn_pending <- max 0 (l.syn_pending - 1)
-       | Some _ | None -> ());
+      if c.state = Syn_received then leave_backlog c;
       enter_closed c
   | Listen -> enter_closed c
   | Closed | Fin_wait_1 | Fin_wait_2 | Last_ack | Closing | Time_wait -> ()
@@ -769,7 +777,7 @@ let abort c =
   (match (c.state, c.remote) with
    | (Established | Syn_received | Fin_wait_1 | Fin_wait_2 | Close_wait
      | Closing | Last_ack), Some _ ->
-       c.env.emit (segment c ~seq:c.snd_nxt (Packet.flags ~rst:true ~ack:true ()))
+       c.env.emit (segment c ~seq:c.snd_nxt Packet.flags_rst_ack Payload.empty)
    | _, _ -> ());
   enter_closed c
 

@@ -54,6 +54,10 @@ and env = {
   on_syn_received : conn -> conn -> unit;
   on_connect_failed : conn -> unit;
   on_reset : conn -> unit;
+  on_embryo_gone : conn -> unit;
+      (** an embryonic child left this listener's backlog without being
+          accepted (SYN-ACK retries exhausted, reset, or closed): the
+          listener's load fell, so a backlog gate may reopen *)
   on_time_wait : conn -> unit;
   on_closed : conn -> unit;
   mss : int;

@@ -24,10 +24,11 @@ let start engine nic ~dst:(dip, dport) ~rate ~until
          like a new connection. *)
       let src = spoof_base + (t.sent mod 4096) in
       let src_port = 1024 + (t.sent mod 60_000) in
+      (* The flags and the empty payload are shared constants: a SYN
+         costs only its own headers and packet record. *)
       let syn =
         Packet.tcp ~src ~dst:dip ~src_port ~dst_port:dport ~seq:0 ~ack_no:0
-          ~flags:(Packet.flags ~syn:true ()) ~window:16_384
-          (Payload.synthetic 0)
+          ~flags:Packet.flags_syn ~window:16_384 Payload.empty
       in
       ignore (Nic.transmit nic syn);
       t.sent <- t.sent + 1;

@@ -243,13 +243,14 @@ let test_self_check () =
      entry points, their transitive callees (through lib/sim and
      lib/sched: the CPU's post, dispatch, segment-end and wakeup paths;
      through lib/kernel and lib/proto: the UDP receive path of every
-     architecture, wire to recvfrom), and every cell-resident function. *)
+     architecture, wire to recvfrom, and the TCP demux path up to the
+     state machine), and every cell-resident function. *)
   Alcotest.(check bool) "loaded a real build (.cmt count)" true
     (stats.Adriver.cmt_files >= 80);
   Alcotest.(check bool) "walked the hot paths" true
-    (stats.Adriver.funcs_analyzed >= 280);
+    (stats.Adriver.funcs_analyzed >= 300);
   Alcotest.(check bool) "escape-checked the cell dirs" true
-    (stats.Adriver.escape_funcs >= 740);
+    (stats.Adriver.escape_funcs >= 760);
   Alcotest.(check bool) "follows the receive path" true
     (List.for_all
        (fun d -> List.mem d cfg.Aconfig.follow_dirs)
@@ -263,6 +264,12 @@ let test_self_check () =
             "Kernel.napi_softirq_round"; "Kernel.napi_deliver_batch";
             "Kernel.deliver_udp_ready"; "Kernel.lrp_process_udp_raw";
             "Socket.deposit_udp"; "Api.recv"; "Api.recvfrom" ]);
+  Alcotest.(check bool) "walks TCP demux and IP output" true
+    (List.for_all
+       (fun e -> List.mem e cfg.Aconfig.entries)
+       [ "Kernel.deliver_tcp"; "Kernel.ip_output" ]
+     && List.mem "Kernel.tcp_deliver" cfg.Aconfig.assume
+     && not (List.mem "Kernel.deliver_tcp" cfg.Aconfig.assume));
   Alcotest.(check bool) "follows the CPU layer" true
     (List.mem "lib/sim" cfg.Aconfig.follow_dirs
      && List.mem "lib/sched" cfg.Aconfig.follow_dirs

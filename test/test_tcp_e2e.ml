@@ -263,6 +263,38 @@ let test_backlog_overflow_drops_syns () =
       | None -> Alcotest.fail "listener did not start")
     [ Kernel.Bsd; Kernel.Soft_lrp ]
 
+(* Embryonic connections that give up (the SYN-ACK retries of 1.5 s
+   backing off to 46.5 s) leave the listener's backlog, and under LRP that
+   must reopen the listener's channel.  A backlog-2 listener is filled by
+   three spoofed SYNs whose SYN-ACKs go nowhere; a real client connects a
+   minute later, after the embryos have given up. *)
+let test_listen_gate_reopens arch cfg =
+  let w, client, server = World.pair ~cfg () in
+  let accepted = ref 0 in
+  ignore
+    (Cpu.spawn (Kernel.cpu server) ~name:"srv" (fun self ->
+         let l = Api.socket_stream server in
+         Api.tcp_listen server ~self l ~port:80 ~backlog:2;
+         ignore (Api.tcp_accept server ~self l);
+         incr accepted));
+  ignore
+    (Synflood.start (World.engine w) (Kernel.nic client)
+       ~dst:(Kernel.ip_address server, 80) ~rate:1_000. ~until:(Time.ms 3.5) ());
+  let result = ref None in
+  ignore
+    (Cpu.spawn (Kernel.cpu client) ~name:"cl" (fun self ->
+         Proc.sleep_for (Time.sec 60.);
+         let sock = Api.socket_stream client in
+         result :=
+           Some
+             (Api.tcp_connect client ~self sock
+                ~remote:(Kernel.ip_address server, 80))));
+  World.run w ~until:(Time.sec 120.);
+  let name = Kernel.arch_name arch in
+  Alcotest.(check bool) (name ^ ": connected after the embryos gave up") true
+    (!result = Some `Ok);
+  Alcotest.(check int) (name ^ ": accepted") 1 !accepted
+
 let test_tcp_processing_charged_to_receiver () =
   (* Under SOFT-LRP, TCP receive processing accrues to the receiving
      process's scheduler usage (via its APP thread), not to a bystander. *)
@@ -324,5 +356,7 @@ let suite =
       (for_all_archs test_connect_refused);
     Alcotest.test_case "listen backlog overflow drops SYNs" `Slow
       test_backlog_overflow_drops_syns;
+    Alcotest.test_case "listen gate reopens when embryos give up" `Quick
+      (for_all_archs test_listen_gate_reopens);
     Alcotest.test_case "LRP charges TCP processing to the receiver" `Slow
       test_tcp_processing_charged_to_receiver ]

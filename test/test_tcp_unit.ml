@@ -51,6 +51,7 @@ let mk_env h ~dir =
     on_syn_received = (fun _ _ -> ());
     on_connect_failed = (fun c -> log h "connfail:%d" c.Tcp.id);
     on_reset = (fun c -> log h "reset:%d" c.Tcp.id);
+    on_embryo_gone = (fun _ -> ());
     on_time_wait = (fun _ -> ());
     on_closed = (fun c -> log h "closed:%d" c.Tcp.id);
     mss = 1460;
