@@ -804,21 +804,16 @@ let bench_baseline () =
     ignore (Lrp_net.Nic.transmit tx_nic demux_pkt);
     Engine.step eng_tx
   in
-  (* Recorder on the hot path: the same arena RX cycle plus the packed
-     flight-recorder emit the NIC path performs per packet.  The packed
-     backend is four word stores into SoA ring columns, so the whole
+  (* Recorder on the hot path: the same arena RX cycle plus the
+     flight-recorder emit the NIC path performs per packet.  The recorder
+     is four word stores into SoA ring columns, so the whole
      traced cycle must stay at 0.0 words/event and close to bare
      [arena_rx] time (check_baseline pins the ratio). *)
   let rec_clock = [| 0. |] in
   let rec_tracer =
-    Lrp_trace.Trace.create ~name:"bench-recorder"
-      ~now:(fun () -> rec_clock.(0))
-      ()
+    Lrp_trace.Trace.create ~name:"bench-recorder" ~clock:rec_clock ()
   in
-  let () =
-    Lrp_trace.Trace.use_packed rec_tracer ~clock:rec_clock;
-    Lrp_trace.Trace.set_enabled rec_tracer true
-  in
+  let () = Lrp_trace.Trace.set_enabled rec_tracer true in
   let tracing_on_arena_rx () =
     ignore (Lrp_core.Channel.enqueue_code rx_chan demux_pkt);
     Lrp_trace.Trace.nic_rx rec_tracer ~pkt:42 ~bytes:64;

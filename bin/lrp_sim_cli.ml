@@ -331,7 +331,7 @@ let top_cmd =
             Lrp_trace.Precorder.write_dump p file;
             Printf.printf "\nflight recorder: %d events -> %s\n"
               (Lrp_trace.Precorder.length p) file
-        | None -> Printf.printf "\nflight recorder: no packed backend\n"))
+        | None -> ()))
   in
   Cmd.v
     (Cmd.info "top"

@@ -147,9 +147,6 @@ let pop t =
 
 let dequeue t = if t.count = 0 then None else Some (pop t)
 
-let peek t =
-  if t.count = 0 then None else Some (Parena.pkt t.arena t.ring.(t.head))
-
 let length t = t.count
 
 let is_empty t = t.count = 0

@@ -70,8 +70,6 @@ val pop : t -> Lrp_net.Packet.t
 
 val dequeue : t -> Lrp_net.Packet.t option
 
-val peek : t -> Lrp_net.Packet.t option
-
 val length : t -> int
 
 val is_empty : t -> bool

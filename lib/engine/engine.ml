@@ -60,9 +60,9 @@ type timer_stats = {
    clock : float] field in the mixed record below would allocate a fresh
    box on every store (once per fired event).  The array (rather than a
    flat record) is deliberate: {!clock_cell} hands it to observers — the
-   packed flight recorder stamps events by copying [cell.(0)] straight
-   into its own float column, where the boxed-closure clock ({!clock})
-   would allocate two words per read. *)
+   flight recorder stamps events by copying [cell.(0)] straight into its
+   own float column, where a [unit -> float] closure clock would allocate
+   two words per read. *)
 type t = {
   clock : float array;
   queue : Twheel.t;
@@ -135,7 +135,6 @@ let create ?(seed = 42) ?(pure_heap = false) () =
   t
 
 let now t = t.clock.(0)
-let clock t () = t.clock.(0)
 let clock_cell t = t.clock
 
 let rng t = t.root_rng

@@ -37,17 +37,13 @@ val create : ?seed:int -> ?pure_heap:bool -> unit -> t
 val now : t -> Time.t
 (** Current virtual time. *)
 
-val clock : t -> unit -> Time.t
-(** [clock t] is a closure reading the virtual clock — the [now] callback
-    handed to per-kernel tracers and metrics registries, which must not
-    depend on this module. *)
-
 val clock_cell : t -> float array
 (** The engine's clock as a 1-slot float array; [(clock_cell t).(0)] is
-    [now t].  Reading the slot is an unboxed float-array load, where the
-    {!clock} closure boxes its return per call — zero-allocation observers
-    (the packed flight recorder) stamp events straight from it.  Callers
-    must treat the array as read-only; writing it corrupts the clock. *)
+    [now t].  Reading the slot is an unboxed float-array load, where a
+    [unit -> float] closure would box its return per call —
+    zero-allocation observers (the flight recorder) stamp events straight
+    from it.  Callers must treat the array as read-only; writing it
+    corrupts the clock. *)
 
 val rng : t -> Rng.t
 (** The engine's root RNG.  Long-lived components should [Rng.split] their

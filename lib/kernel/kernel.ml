@@ -1930,11 +1930,7 @@ let create engine fabric ~name ~ip cfg =
     Cpu.create engine ~ctx_switch_cost:cfg.costs.Cost.ctx_switch ~name ()
   in
   let nic = Fabric.make_nic fabric ~name:(name ^ ".nic") ~ip () in
-  let tracer = Trace.create ~name ~now:(Engine.clock engine) () in
-  (* Flight recorder: every kernel records into the packed SoA ring, so
-     enabling tracing costs no per-event allocation (the timestamp is
-     read straight from the engine's clock cell). *)
-  Trace.use_packed tracer ~clock:(Engine.clock_cell engine);
+  let tracer = Trace.create ~name ~clock:(Engine.clock_cell engine) () in
   let metrics = Metrics.create () in
   let parena = Parena.create () in
   let t =

@@ -1,5 +1,5 @@
-(* Packed flight recorder: the storage and codec layer under Trace's
-   packed backend.
+(* Packed flight recorder: the storage and codec layer under every Trace
+   tracer.
 
    Events live in four parallel ring columns (SoA, like the packet arenas
    in lib/core): an int kind, a flat float timestamp, an int ident (the

@@ -1,6 +1,6 @@
 (** Packed flight recorder: SoA ring storage for trace events.
 
-    The zero-allocation backend behind {!Trace}'s packed mode.  Each event
+    The zero-allocation store behind every {!Trace} tracer.  Each event
     is four fixed-width words spread over parallel ring columns — int
     kind, flat float timestamp, int ident, and one int packing the
     event's two small arguments ([a]/[b], each 31 bits with a [-1]

@@ -48,64 +48,31 @@ let class_of_event = function
 let bit = function Packet_events -> 1 | Sched_events -> 2 | Note_events -> 4
 let all_mask = 7
 
-type entry = { ts : float; seq : int; ev : event }
-
-let dummy_entry = { ts = 0.; seq = -1; ev = Note "" }
-
 type t = {
   tr_name : string;
-  now : unit -> float;
-  cap : int;
   mutable on : bool;
   mutable mask : int;
-  mutable buf : entry array;  (* [||] until the first recorded event *)
-  mutable head : int;         (* next write slot *)
-  mutable count : int;        (* live entries, <= cap *)
-  mutable seq : int;
-  mutable lost : int;
-  mutable packed : Precorder.t option;
-      (* when set, events go into the packed SoA ring (zero allocation per
-         record) instead of the typed entry ring; [events] decodes them
-         back, so every sink below works unchanged *)
+  store : Precorder.t;
+      (* the packed SoA ring every emitter writes (zero allocation per
+         record); [events] decodes it back, so the sinks below see typed
+         events *)
 }
 
-let create ?(capacity = 65536) ~name ~now () =
-  { tr_name = name; now; cap = max 1 capacity; on = false; mask = all_mask;
-    buf = [||]; head = 0; count = 0; seq = 0; lost = 0; packed = None }
+let create ?capacity ~name ~clock () =
+  { tr_name = name; on = false; mask = all_mask;
+    store = Precorder.create ?capacity ~clock () }
 
-let null () = create ~capacity:1 ~name:"null" ~now:(fun () -> 0.) ()
+let null () = create ~capacity:1 ~name:"null" ~clock:[| 0. |] ()
 
 let name t = t.tr_name
 let enabled t = t.on
 let set_enabled t b = t.on <- b
 let set_filter t classes = t.mask <- List.fold_left (fun m c -> m lor bit c) 0 classes
 
-let use_packed t ~clock =
-  t.packed <- Some (Precorder.create ~capacity:t.cap ~clock ())
-
-let packed t = t.packed
-
-let length t =
-  match t.packed with Some p -> Precorder.length p | None -> t.count
-
-let dropped t =
-  match t.packed with Some p -> Precorder.dropped p | None -> t.lost
-
-let clear t =
-  (match t.packed with Some p -> Precorder.clear p | None -> ());
-  t.head <- 0;
-  t.count <- 0;
-  t.seq <- 0;
-  t.lost <- 0
-
-let record t ev =
-  (* alloc: cold — lazy first-use sizing *)
-  if Array.length t.buf = 0 then t.buf <- Array.make t.cap dummy_entry;
-  if t.count = t.cap then t.lost <- t.lost + 1 else t.count <- t.count + 1;
-  (* alloc: cold — untyped ring entry; the packed recorder is the hot sink *)
-  t.buf.(t.head) <- { ts = t.now (); seq = t.seq; ev };
-  t.seq <- t.seq + 1;
-  t.head <- (t.head + 1) mod t.cap
+let packed t = Some t.store
+let length t = Precorder.length t.store
+let dropped t = Precorder.dropped t.store
+let clear t = Precorder.clear t.store
 
 (* --- packed encoding ---------------------------------------------------- *)
 
@@ -201,14 +168,7 @@ let events_of_precorder p =
       acc := (ts, seq, event_of_packed p ~kind ~ident ~a ~b) :: !acc);
   List.rev !acc
 
-let events t =
-  match t.packed with
-  | Some p -> events_of_precorder p
-  | None ->
-      let start = (t.head - t.count + t.cap * 2) mod t.cap in
-      List.init t.count (fun i ->
-          let e = t.buf.((start + i) mod t.cap) in
-          (e.ts, e.seq, e.ev))
+let events t = events_of_precorder t.store
 
 (* Merge per-cell recorder streams into one timeline keyed by
    (timestamp, stream id, sequence).  The key is a total order — (stream,
@@ -231,173 +191,120 @@ let merged_events streams =
         if c <> 0 then c else Int.compare q1 q2)
     all
 
-(* Emitters check [on] and the class filter before allocating the event, so
-   a disabled tracer costs one branch and zero allocation per call site.
-   With the packed backend installed, an *enabled* tracer also allocates
-   nothing: each emitter writes four words into the SoA ring instead of
-   building the variant (the typed branch remains for tracers without a
-   packed ring — tests, mock clocks). *)
+(* Emitters check [on] and the class filter first, so a disabled tracer
+   costs one branch per call site.  An enabled one allocates nothing
+   either: each emitter writes four words into the SoA ring instead of
+   building the variant. *)
 
 let want t c = t.on && t.mask land bit c <> 0
 
 let nic_rx t ~pkt ~bytes =
   if want t Packet_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_nic_rx ~ident:pkt ~a:bytes ~b:(-1)
-    | None -> record t (Nic_rx { pkt; bytes }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_nic_rx ~ident:pkt ~a:bytes ~b:(-1)
 
 let demux t ~pkt ~chan ~flow =
   if want t Packet_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_demux ~ident:pkt ~a:chan ~b:flow
-    | None -> record t (Demux { pkt; chan; flow }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_demux ~ident:pkt ~a:chan ~b:flow
 
 let ipq_enqueue t ~pkt ~qlen =
   if want t Packet_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_ipq_enqueue ~ident:pkt ~a:qlen ~b:(-1)
-    | None -> record t (Ipq_enqueue { pkt; qlen }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_ipq_enqueue ~ident:pkt ~a:qlen
+      ~b:(-1)
 
 let ipq_drop t ~pkt ~qlen =
   if want t Packet_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_ipq_drop ~ident:pkt ~a:qlen ~b:(-1)
-    | None -> record t (Ipq_drop { pkt; qlen }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_ipq_drop ~ident:pkt ~a:qlen ~b:(-1)
 
 let early_discard t ~pkt ~chan =
   if want t Packet_events then
-    match t.packed with
-    | Some p ->
-        Precorder.record p ~kind:k_early_discard ~ident:pkt ~a:chan ~b:(-1)
-    | None -> record t (Early_discard { pkt; chan }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_early_discard ~ident:pkt ~a:chan
+      ~b:(-1)
 
 let softint_begin t ~pkt =
   if want t Packet_events then
-    match t.packed with
-    | Some p ->
-        Precorder.record p ~kind:k_softint_begin ~ident:pkt ~a:(-1) ~b:(-1)
-    | None -> record t (Softint_begin { pkt }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_softint_begin ~ident:pkt ~a:(-1)
+      ~b:(-1)
 
 let softint_end t ~pkt =
   if want t Packet_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_softint_end ~ident:pkt ~a:(-1) ~b:(-1)
-    | None -> record t (Softint_end { pkt }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_softint_end ~ident:pkt ~a:(-1) ~b:(-1)
 
 let proto_deliver t ~pkt ~conn ~in_proc =
   if want t Packet_events then
-    match t.packed with
-    | Some p ->
-        Precorder.record p ~kind:k_proto_deliver ~ident:pkt ~a:conn
-          ~b:(if in_proc then 1 else 0)
-    | None -> record t (Proto_deliver { pkt; conn; in_proc }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_proto_deliver ~ident:pkt ~a:conn
+      ~b:(if in_proc then 1 else 0)
 
 let sock_enqueue t ~pkt ~sock =
   if want t Packet_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_sock_enqueue ~ident:pkt ~a:sock ~b:(-1)
-    | None -> record t (Sock_enqueue { pkt; sock }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_sock_enqueue ~ident:pkt ~a:sock
+      ~b:(-1)
 
 let sock_drop t ~pkt ~sock =
   if want t Packet_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_sock_drop ~ident:pkt ~a:sock ~b:(-1)
-    | None -> record t (Sock_drop { pkt; sock }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_sock_drop ~ident:pkt ~a:sock ~b:(-1)
 
 let syscall_copyout t ~pkt ~sock ~bytes =
   if want t Packet_events then
-    match t.packed with
-    | Some p ->
-        Precorder.record p ~kind:k_syscall_copyout ~ident:pkt ~a:sock ~b:bytes
-    | None -> record t (Syscall_copyout { pkt; sock; bytes }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_syscall_copyout ~ident:pkt ~a:sock
+      ~b:bytes
 
 let csum_drop t ~pkt =
   if want t Packet_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_csum_drop ~ident:pkt ~a:(-1) ~b:(-1)
-    | None -> record t (Csum_drop { pkt }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_csum_drop ~ident:pkt ~a:(-1) ~b:(-1)
 
 let mbuf_drop t ~pkt =
   if want t Packet_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_mbuf_drop ~ident:pkt ~a:(-1) ~b:(-1)
-    | None -> record t (Mbuf_drop { pkt }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_mbuf_drop ~ident:pkt ~a:(-1) ~b:(-1)
 
 let intr_enter t ~level ~label =
   if want t Sched_events then
-    match t.packed with
-    | Some p ->
-        Precorder.record p ~kind:k_intr_enter ~ident:(-1)
-          ~a:(level_code level) ~b:(Precorder.intern p label)
-    | None -> record t (Intr_enter { level; label }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_intr_enter ~ident:(-1)
+      ~a:(level_code level) ~b:(Precorder.intern t.store label)
 
 let intr_exit t ~level ~label =
   if want t Sched_events then
-    match t.packed with
-    | Some p ->
-        Precorder.record p ~kind:k_intr_exit ~ident:(-1) ~a:(level_code level)
-          ~b:(Precorder.intern p label)
-    | None -> record t (Intr_exit { level; label }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_intr_exit ~ident:(-1)
+      ~a:(level_code level) ~b:(Precorder.intern t.store label)
 
 let ctx_switch t ~from_pid ~to_pid =
   if want t Sched_events then
-    match t.packed with
-    | Some p ->
-        Precorder.record p ~kind:k_ctx_switch ~ident:(-1) ~a:from_pid ~b:to_pid
-    | None -> record t (Ctx_switch { from_pid; to_pid }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_ctx_switch ~ident:(-1) ~a:from_pid
+      ~b:to_pid
 
 let thread_state t ~pid ~state =
   if want t Sched_events then
-    match t.packed with
-    | Some p ->
-        Precorder.record p ~kind:k_thread_state ~ident:(-1) ~a:pid
-          ~b:(state_code state)
-    | None -> record t (Thread_state { pid; state }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_thread_state ~ident:(-1) ~a:pid
+      ~b:(state_code state)
 
 let alarm t ~alarm:al ~a ~b =
   if want t Note_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_alarm ~ident:(alarm_code al) ~a ~b
-    | None -> record t (Alarm { alarm = al; a; b })
+    Precorder.record t.store ~kind:k_alarm ~ident:(alarm_code al) ~a ~b
 
 let poll_begin t ~q ~pending =
   if want t Sched_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_poll_begin ~ident:q ~a:pending ~b:(-1)
-    | None -> record t (Poll_begin { q; pending }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_poll_begin ~ident:q ~a:pending ~b:(-1)
 
 let poll_end t ~q ~served =
   if want t Sched_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_poll_end ~ident:q ~a:served ~b:(-1)
-    | None -> record t (Poll_end { q; served }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_poll_end ~ident:q ~a:served ~b:(-1)
 
 let coalesce_fire t ~q ~pending =
   if want t Sched_events then
-    match t.packed with
-    | Some p ->
-        Precorder.record p ~kind:k_coalesce_fire ~ident:q ~a:pending ~b:(-1)
-    | None -> record t (Coalesce_fire { q; pending }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_coalesce_fire ~ident:q ~a:pending
+      ~b:(-1)
 
 let gro_merge t ~pkt ~into =
   if want t Packet_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_gro_merge ~ident:pkt ~a:into ~b:(-1)
-    | None -> record t (Gro_merge { pkt; into }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_gro_merge ~ident:pkt ~a:into ~b:(-1)
 
 let gro_flush t ~pkt ~segs =
   if want t Packet_events then
-    match t.packed with
-    | Some p -> Precorder.record p ~kind:k_gro_flush ~ident:pkt ~a:segs ~b:(-1)
-    | None -> record t (Gro_flush { pkt; segs }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_gro_flush ~ident:pkt ~a:segs ~b:(-1)
 
 let note t s =
   if want t Note_events then
-    match t.packed with
-    | Some p ->
-        Precorder.record p ~kind:k_note ~ident:(-1) ~a:(Precorder.intern p s)
-          ~b:(-1)
-    | None -> record t (Note s) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
+    Precorder.record t.store ~kind:k_note ~ident:(-1)
+      ~a:(Precorder.intern t.store s) ~b:(-1)
 
 let notef t fmt =
   if want t Note_events then Printf.ksprintf (fun s -> note t s) fmt

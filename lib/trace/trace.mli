@@ -1,17 +1,19 @@
 (** Structured packet-lifecycle and scheduler tracing.
 
-    One tracer per simulated kernel: a bounded ring buffer of typed events,
-    each stamped with the owning engine's virtual time and a monotonically
-    increasing sequence number.  There is deliberately no global tracer —
-    parallel sweeps run one simulation per domain, and every kernel records
-    only into its own buffer, so tracing can never perturb results or race
-    across domains.
+    One tracer per simulated kernel, backed by one packed flight recorder
+    ({!Precorder}): a bounded SoA ring of fixed-width events, each stamped
+    with the owning engine's virtual time and a monotonically increasing
+    sequence number.  Typed {!event} values are a decode view over that
+    ring ({!events}).  There is deliberately no global tracer — parallel
+    sweeps run one simulation per domain, and every kernel records only
+    into its own ring, so tracing can never perturb results or race across
+    domains.
 
     Zero cost when disabled: every emitter takes immediate arguments and
-    checks {!enabled} (plus the event-class filter) {e before} allocating
-    the event, so a disabled tracer costs one branch per call site and
-    allocates nothing.  The ring's backing array itself is only allocated
-    on the first recorded event. *)
+    checks {!enabled} (plus the event-class filter) first, so a disabled
+    tracer costs one branch per call site.  An enabled tracer writes four
+    words per event and allocates nothing once its labels are interned.
+    The ring's columns are only allocated on the first recorded event. *)
 
 type t
 
@@ -81,10 +83,12 @@ type cls = Packet_events | Sched_events | Note_events
 
 val class_of_event : event -> cls
 
-val create : ?capacity:int -> name:string -> now:(unit -> float) -> unit -> t
-(** [create ~name ~now ()] makes a tracer recording up to [capacity]
+val create : ?capacity:int -> name:string -> clock:float array -> unit -> t
+(** [create ~name ~clock ()] makes a tracer recording up to [capacity]
     (default 65536) events; older events are overwritten once full.
-    [now] supplies virtual-time stamps.  Starts disabled. *)
+    [clock] is the owner's 1-slot time cell (a kernel passes its engine's
+    {!Lrp_engine.Engine.clock_cell}); slot 0 stamps each event.  Starts
+    disabled. *)
 
 val null : unit -> t
 (** A tracer that is disabled and records nothing; cheap placeholder for
@@ -97,18 +101,10 @@ val set_enabled : t -> bool -> unit
 val set_filter : t -> cls list -> unit
 (** Record only the given classes (default: all). *)
 
-val use_packed : t -> clock:float array -> unit
-(** Install the packed flight-recorder backend: subsequent events are
-    encoded into a {!Precorder} SoA ring (four word stores, zero minor
-    allocation per event) instead of the typed entry ring, with
-    timestamps copied from [clock.(0)] (pass the owning engine's
-    {!Lrp_engine.Engine.clock_cell}).  {!events} decodes packed entries
-    back to typed ones, so every sink works unchanged.  Events recorded
-    before the switch are discarded. *)
-
 val packed : t -> Precorder.t option
-(** The packed backend, when installed — for binary dumps
-    ({!Precorder.write_dump}). *)
+(** The tracer's recorder, for binary dumps ({!Precorder.write_dump}).
+    Always [Some]: the recorder is the tracer's only store.  The option
+    stays because the benchmark harness (perfbench) matches on it. *)
 
 val events_of_precorder : Precorder.t -> (float * int * event) list
 (** Decode a packed ring (e.g. one read back from a binary dump) to typed
@@ -121,7 +117,7 @@ val dropped : t -> int
 (** Events overwritten because the ring was full. *)
 
 val events : t -> (float * int * event) list
-(** Buffer contents, oldest first, as [(virtual-time, seq, event)]. *)
+(** The recorder's surviving events decoded, oldest first, as [(virtual-time, seq, event)]. *)
 
 val merged_events : (int * t) list -> (int * float * int * event) list
 (** Merge labelled recorder streams into one timeline as

@@ -13,7 +13,7 @@ let contains_sub hay needle =
 
 (* A tracer with a dummy clock; events carry the times we fake. *)
 let tracer ?capacity () =
-  let tr = Trace.create ?capacity ~name:"mock" ~now:(fun () -> 0.) () in
+  let tr = Trace.create ?capacity ~name:"mock" ~clock:[| 0. |] () in
   Trace.set_enabled tr true;
   tr
 

@@ -93,37 +93,129 @@ let emit_all t clock =
   Trace.alarm t ~alarm:Trace.Overload ~a:200 ~b:30;
   Trace.alarm t ~alarm:Trace.Livelock ~a:200 ~b:95;
   Trace.alarm t ~alarm:Trace.Starvation ~a:2 ~b:95;
-  Trace.alarm t ~alarm:Trace.Queue_watermark ~a:1 ~b:64
+  Trace.alarm t ~alarm:Trace.Queue_watermark ~a:1 ~b:64;
+  tick 8.;
+  Trace.poll_begin t ~q:1 ~pending:5;
+  Trace.poll_end t ~q:1 ~served:5;
+  Trace.coalesce_fire t ~q:2 ~pending:16;
+  Trace.gro_merge t ~pkt:20 ~into:19;
+  Trace.gro_flush t ~pkt:19 ~segs:2
 
-let make_typed () =
+let make_tracer () =
   let clock = [| 0. |] in
-  let t = Trace.create ~name:"typed" ~now:(fun () -> clock.(0)) () in
+  let t = Trace.create ~name:"recorder" ~clock () in
   Trace.set_enabled t true;
   (t, clock)
 
-let make_packed () =
-  let clock = [| 0. |] in
-  let t = Trace.create ~name:"packed" ~now:(fun () -> clock.(0)) () in
-  Trace.use_packed t ~clock;
-  Trace.set_enabled t true;
-  (t, clock)
+(* What [emit_all] must decode to, written out by hand: every one of the
+   24 kind codes, both interrupt levels, interned labels and notes, and
+   all four alarm kinds, with the clock value at each emit and gap-free
+   sequence numbers. *)
+let expected_events =
+  let open Trace in
+  [ (1., 0, Nic_rx { pkt = 7; bytes = 1500 });
+    (1., 1, Demux { pkt = 7; chan = 3; flow = 9000 });
+    (2., 2, Ipq_enqueue { pkt = 7; qlen = 4 });
+    (2., 3, Ipq_drop { pkt = 8; qlen = 64 });
+    (2., 4, Early_discard { pkt = 9; chan = 3 });
+    (3.5, 5, Softint_begin { pkt = 7 });
+    (3.5, 6, Proto_deliver { pkt = 7; conn = 11; in_proc = false });
+    (3.5, 7, Proto_deliver { pkt = 7; conn = -1; in_proc = true });
+    (3.5, 8, Softint_end { pkt = 7 });
+    (4., 9, Sock_enqueue { pkt = 7; sock = 2 });
+    (4., 10, Sock_drop { pkt = 10; sock = 2 });
+    (4., 11, Syscall_copyout { pkt = 7; sock = 2; bytes = 1472 });
+    (4., 12, Csum_drop { pkt = 11 });
+    (4., 13, Mbuf_drop { pkt = 12 });
+    (5., 14, Intr_enter { level = Hard; label = "rx-intr" });
+    (5., 15, Intr_exit { level = Hard; label = "rx-intr" });
+    (5., 16, Intr_enter { level = Soft; label = "softnet" });
+    (5., 17, Intr_exit { level = Soft; label = "softnet" });
+    (6., 18, Ctx_switch { from_pid = 1; to_pid = 2 });
+    (6., 19, Thread_state { pid = 2; state = Spawned });
+    (6., 20, Thread_state { pid = 2; state = Runnable });
+    (6., 21, Thread_state { pid = 2; state = Sleeping });
+    (6., 22, Thread_state { pid = 2; state = Exited });
+    (7., 23, Note "checkpoint");
+    (7., 24, Note "formatted 42");
+    (7., 25, Alarm { alarm = Overload; a = 200; b = 30 });
+    (7., 26, Alarm { alarm = Livelock; a = 200; b = 95 });
+    (7., 27, Alarm { alarm = Starvation; a = 2; b = 95 });
+    (7., 28, Alarm { alarm = Queue_watermark; a = 1; b = 64 });
+    (8., 29, Poll_begin { q = 1; pending = 5 });
+    (8., 30, Poll_end { q = 1; served = 5 });
+    (8., 31, Coalesce_fire { q = 2; pending = 16 });
+    (8., 32, Gro_merge { pkt = 20; into = 19 });
+    (8., 33, Gro_flush { pkt = 19; segs = 2 }) ]
 
 let test_packed_typed_equal () =
-  let typed, tclock = make_typed () in
-  let packed, pclock = make_packed () in
-  emit_all typed tclock;
-  emit_all packed pclock;
-  Alcotest.(check bool) "packed backend is installed" true
-    (Trace.packed packed <> None);
-  Alcotest.(check int) "same event count" (Trace.length typed)
-    (Trace.length packed);
-  Alcotest.(check bool) "packed decodes to the typed stream" true
-    (Trace.events typed = Trace.events packed)
+  let t, clock = make_tracer () in
+  emit_all t clock;
+  Alcotest.(check int) "every emit recorded" (List.length expected_events)
+    (Trace.length t);
+  Alcotest.(check int) "nothing overwritten" 0 (Trace.dropped t);
+  List.iter2
+    (fun (ets, eseq, eev) (ts, seq, ev) ->
+      let what = Format.asprintf "%a" Trace.pp_event eev in
+      Alcotest.(check (float 0.)) (what ^ ": timestamp") ets ts;
+      Alcotest.(check int) (what ^ ": sequence") eseq seq;
+      Alcotest.(check string) (what ^ ": decoded event") what
+        (Format.asprintf "%a" Trace.pp_event ev);
+      Alcotest.(check bool) (what ^ ": structurally equal") true (eev = ev))
+    expected_events (Trace.events t)
+
+(* A tracer built directly, not through [Kernel.create], must record
+   every emitter without allocating once its labels and notes are
+   interned.  [notef] is left out: it formats a fresh string by design. *)
+let test_standalone_tracer_allocates_nothing () =
+  let t, clock = make_tracer () in
+  let round i =
+    clock.(0) <- float_of_int i;
+    Trace.nic_rx t ~pkt:i ~bytes:1500;
+    Trace.demux t ~pkt:i ~chan:3 ~flow:9000;
+    Trace.ipq_enqueue t ~pkt:i ~qlen:4;
+    Trace.ipq_drop t ~pkt:i ~qlen:64;
+    Trace.early_discard t ~pkt:i ~chan:3;
+    Trace.softint_begin t ~pkt:i;
+    Trace.proto_deliver t ~pkt:i ~conn:11 ~in_proc:false;
+    Trace.softint_end t ~pkt:i;
+    Trace.sock_enqueue t ~pkt:i ~sock:2;
+    Trace.sock_drop t ~pkt:i ~sock:2;
+    Trace.syscall_copyout t ~pkt:i ~sock:2 ~bytes:1472;
+    Trace.csum_drop t ~pkt:i;
+    Trace.mbuf_drop t ~pkt:i;
+    Trace.intr_enter t ~level:Trace.Hard ~label:"rx-intr";
+    Trace.intr_exit t ~level:Trace.Hard ~label:"rx-intr";
+    Trace.ctx_switch t ~from_pid:1 ~to_pid:2;
+    Trace.thread_state t ~pid:2 ~state:Trace.Runnable;
+    Trace.note t "checkpoint";
+    Trace.alarm t ~alarm:Trace.Livelock ~a:200 ~b:95;
+    Trace.poll_begin t ~q:1 ~pending:5;
+    Trace.poll_end t ~q:1 ~served:5;
+    Trace.coalesce_fire t ~q:2 ~pending:16;
+    Trace.gro_merge t ~pkt:i ~into:19;
+    Trace.gro_flush t ~pkt:i ~segs:2
+  in
+  let per_round = 24 in
+  for i = 1 to 1_000 do
+    round i
+  done;
+  let n = 20_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    round i
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every emit recorded"
+    ((1_000 + n) * per_round)
+    (Trace.length t + Trace.dropped t);
+  Alcotest.(check (float 0.)) "minor words per event" 0.
+    (dw /. float_of_int (n * per_round))
 
 (* --- binary dump round-trip -------------------------------------------- *)
 
 let test_dump_roundtrip () =
-  let packed, clock = make_packed () in
+  let packed, clock = make_tracer () in
   emit_all packed clock;
   let p =
     match Trace.packed packed with Some p -> p | None -> assert false
@@ -378,6 +470,8 @@ let suite =
       test_precorder_arg_sentinel;
     Alcotest.test_case "packed ring decodes to the typed event stream" `Quick
       test_packed_typed_equal;
+    Alcotest.test_case "standalone tracer records without allocating" `Quick
+      test_standalone_tracer_allocates_nothing;
     Alcotest.test_case "binary dump round-trips losslessly" `Quick
       test_dump_roundtrip;
     Alcotest.test_case "dump reader rejects malformed input" `Quick

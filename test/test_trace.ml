@@ -5,11 +5,11 @@
 open Lrp_trace
 open Lrp_experiments
 
-let clock = ref 0.
+let clock = [| 0. |]
 
 let make_tracer ?capacity () =
-  clock := 0.;
-  let t = Trace.create ?capacity ~name:"test" ~now:(fun () -> !clock) () in
+  clock.(0) <- 0.;
+  let t = Trace.create ?capacity ~name:"test" ~clock () in
   Trace.set_enabled t true;
   t
 
@@ -18,7 +18,7 @@ let make_tracer ?capacity () =
 let test_ring_overwrite () =
   let t = make_tracer ~capacity:4 () in
   for i = 1 to 6 do
-    clock := float_of_int i;
+    clock.(0) <- float_of_int i;
     Trace.nic_rx t ~pkt:i ~bytes:100
   done;
   Alcotest.(check int) "length capped" 4 (Trace.length t);
@@ -33,8 +33,8 @@ let test_ring_overwrite () =
   Alcotest.(check (list int)) "oldest overwritten first" [ 3; 4; 5; 6 ] pkts
 
 let test_disabled_records_nothing () =
-  clock := 0.;
-  let t = Trace.create ~name:"off" ~now:(fun () -> !clock) () in
+  clock.(0) <- 0.;
+  let t = Trace.create ~name:"off" ~clock () in
   Trace.nic_rx t ~pkt:1 ~bytes:100;
   Trace.softint_begin t ~pkt:1;
   Trace.notef t "costly %d" (1 + 1);
@@ -58,7 +58,7 @@ let test_event_ordering () =
   let t = make_tracer () in
   List.iter
     (fun ts ->
-      clock := ts;
+      clock.(0) <- ts;
       Trace.nic_rx t ~pkt:(int_of_float ts) ~bytes:14)
     [ 1.; 2.; 5.; 9. ];
   let stamps = List.map (fun (ts, _, _) -> ts) (Trace.events t) in
@@ -71,13 +71,13 @@ let test_event_ordering () =
 
 let test_chrome_roundtrip () =
   let t = make_tracer () in
-  clock := 1.;
+  clock.(0) <- 1.;
   Trace.nic_rx t ~pkt:7 ~bytes:42;
   Trace.intr_enter t ~level:Trace.Hard ~label:"rx-intr";
-  clock := 3.;
+  clock.(0) <- 3.;
   Trace.intr_exit t ~level:Trace.Hard ~label:"rx-intr";
   Trace.demux t ~pkt:7 ~chan:2 ~flow:9000;
-  clock := 5.;
+  clock.(0) <- 5.;
   Trace.sock_enqueue t ~pkt:7 ~sock:3;
   Trace.note t "with \"quotes\" and\nnewline";
   let buf = Buffer.create 256 in
@@ -99,13 +99,13 @@ let test_chrome_roundtrip () =
 let test_chrome_spans_balanced_under_overwrite () =
   (* A ring that wrapped mid-span must not emit an unmatched "E". *)
   let t = make_tracer ~capacity:3 () in
-  clock := 1.;
+  clock.(0) <- 1.;
   Trace.intr_enter t ~level:Trace.Soft ~label:"softnet";
-  clock := 2.;
+  clock.(0) <- 2.;
   Trace.intr_exit t ~level:Trace.Soft ~label:"softnet";
-  clock := 3.;
+  clock.(0) <- 3.;
   Trace.intr_enter t ~level:Trace.Soft ~label:"softnet";
-  clock := 4.;
+  clock.(0) <- 4.;
   Trace.intr_exit t ~level:Trace.Soft ~label:"softnet";
   (* capacity 3: the first enter fell off; first event is now an exit *)
   Alcotest.(check int) "ring wrapped" 1 (Trace.dropped t);
