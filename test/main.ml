@@ -11,6 +11,7 @@ let () =
       ("tcp-e2e", Test_tcp_e2e.suite);
       ("core", Test_core.suite);
       ("kernel", Test_kernel.suite);
+      ("pipeline", Test_pipeline.suite);
       ("multicast", Test_multicast.suite);
       ("gateway", Test_gateway.suite);
       ("stats", Test_stats.suite);

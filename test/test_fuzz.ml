@@ -15,13 +15,13 @@ open Lrp_workload
 open Lrp_check
 module Trace = Lrp_trace.Trace
 
-let archs =
-  [ Kernel.Bsd; Kernel.Soft_lrp; Kernel.Ni_lrp; Kernel.Early_demux;
-    Kernel.Napi; Kernel.Napi_gro; Kernel.Rss ]
+let archs = Kernel.archs
 
 (* BSD and the NAPI-family back-ends run eager protocol processing with
    no demux step; the LRP architectures must demultiplex before any
-   socket enqueue. *)
+   socket enqueue.  Written out by hand rather than read from the
+   kernel: this is the oracle's own statement of which architectures
+   demultiplex. *)
 let require_demux = function
   | Kernel.Bsd | Kernel.Napi | Kernel.Napi_gro | Kernel.Rss -> false
   | Kernel.Soft_lrp | Kernel.Ni_lrp | Kernel.Early_demux -> true
