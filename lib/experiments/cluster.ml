@@ -29,15 +29,15 @@ type result = {
 }
 
 (* FNV-1a 64-bit over a string; plain and dependency-free, good enough to
-   compare two runs of the same binary byte-for-byte. *)
+   compare two runs of the same binary byte-for-byte.  A plain loop: the
+   [Int64] accumulator stays unboxed, where a closure over it would box
+   it on every byte. *)
 let fnv1a64 s =
   let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) prime
+  done;
   !h
 
 let default_racks = 8

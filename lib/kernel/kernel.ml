@@ -1,43 +1,41 @@
 (** Simulated host kernel, parameterised by network-subsystem architecture.
 
     One [Kernel.t] per host.  It owns the CPU, the NIC, the protocol state
-    (PCBs, reassembly, TCP connections) and implements the four receive
-    architectures the paper compares:
+    (PCBs, reassembly, TCP connections) and runs one receive pipeline:
+    NIC -> demux site -> early discard -> protocol context -> socket.  An
+    architecture is a row of four policy choices, derived once by
+    [create] from [config.arch]:
 
-    - {b Bsd}: eager interrupt-driven processing.  The hardware interrupt
-      stores the packet and appends it to the shared IP queue; a software
-      interrupt performs IP + transport processing and deposits data on the
-      socket queue; the application finally copies it out in a receive
-      system call (section 2.1).
-    - {b Soft_lrp}: LRP with demultiplexing in the interrupt handler: the
-      hardware interrupt classifies the packet onto its NI channel (early
-      discard if full); all protocol processing happens lazily in the
-      receiver's context or in an APP thread charged to the receiver.
-    - {b Ni_lrp}: like [Soft_lrp], but classification and discard happen on
-      the network interface itself at zero host cost; the host is
-      interrupted only when a blocked receiver must be woken.
-    - {b Early_demux}: the control experiment of section 4.2 — early
-      demultiplexing and early discard like SOFT-LRP, but protocol
-      processing stays eager in software-interrupt context like BSD.
+    {v
+    arch         demux site  lazy protocol  NAPI poll  GRO
+    Bsd          none        no             no         no
+    Soft_lrp     host intr   yes            no         no
+    Ni_lrp       NI          yes            no         no
+    Early_demux  host intr   no             no         no
+    Napi         none        no             yes        no
+    Napi_gro     none        no             yes        yes
+    Rss          none        no             yes        no
+    v}
 
-    Three modern (post-paper) back-ends extend the comparison to the
-    receive architectures that eventually shipped in mainstream kernels:
-
-    - {b Napi}: interrupt mitigation with budgeted polling.  The first
-      frame raises a (cheap) interrupt that masks the queue and schedules
-      a softirq poll; the poll dequeues up to [napi_budget] frames per
-      round, re-enables the interrupt when the ring drains, and defers to
-      a fairly-scheduled ksoftirqd process when the budget is exhausted
-      with backlog remaining.  The NIC adds configurable interrupt
-      coalescing (packet-count threshold / hold-off timer).
-    - {b Napi_gro}: [Napi] plus receive-offload aggregation: consecutive
-      in-order same-flow TCP segments are merged at the poll loop into
-      one large segment before protocol processing (flushed on flow
-      change, PSH, out-of-order arrival or budget exhaustion); same-flow
-      UDP datagram trains share one protocol pass.
-    - {b Rss}: receive-side scaling — the NIC hashes flows over the
-      packed flow key onto [rx_queues] receive rings, each running its
-      own [Napi] poll context.
+    - {e Demux site}: where a frame is classified onto its endpoint.
+      With none, the driver interrupt queues it on the shared IP queue
+      and finds the endpoint only after protocol processing; at the host
+      interrupt or on the NI, an endpoint's full queue discards it early.
+      NI demux costs the host nothing; it is interrupted only to wake a
+      blocked receiver.
+    - {e Lazy protocol}: protocol processing runs in the receiver's
+      context (or an APP thread charged to it) from per-endpoint NI
+      channels, instead of eagerly in a software interrupt.  A lazy
+      kernel draws no RX mbufs and runs the UDP helper and the
+      forwarding daemon.  Early-Demux is the paper's section 4.2 control:
+      early discard without lazy processing.
+    - {e NAPI poll}: a cheap mitigated interrupt masks the queue and
+      schedules budgeted poll rounds; budget exhaustion defers polling to
+      a fairly-scheduled ksoftirqd process.  [Rss] is [Napi] with 4
+      receive rings ([default_config]'s [rx_queues]).
+    - {e GRO}: the poll loop merges in-order same-flow TCP segments into
+      one super-segment and lets same-flow UDP trains share one protocol
+      pass.
 
     All architectures share the same protocol code ({!Lrp_proto.Tcp},
     {!Lrp_proto.Ip}) and the same cost table, exactly as the paper's kernels
@@ -78,14 +76,35 @@ let archs = [ Bsd; Soft_lrp; Ni_lrp; Early_demux; Napi; Napi_gro; Rss ]
 
 let arch_of_key s = List.find_opt (fun a -> arch_key a = s) archs
 
-let is_lrp = function
-  | Soft_lrp | Ni_lrp -> true
-  | Bsd | Early_demux | Napi | Napi_gro | Rss -> false
+(* Where a frame is classified onto its endpoint. *)
+type demux_site = No_demux | Host_demux | Ni_demux
 
-(* The NAPI-family back-ends run the NIC in queued-RX mode and poll. *)
-let is_napi = function
-  | Napi | Napi_gro | Rss -> true
-  | Bsd | Soft_lrp | Ni_lrp | Early_demux -> false
+(* The receive path's four choices; see the table at the top. *)
+type policy = {
+  demux : demux_site;
+  lazy_proto : bool;
+      (* protocol processing in the receiver's context, from NI channels;
+         no RX mbufs; APP threads, the UDP helper and the forwarding
+         daemon *)
+  napi : bool;   (* queued RX with budgeted polling *)
+  gro : bool;    (* receive-offload aggregation at the poll loop *)
+}
+
+let policy_of_arch = function
+  | Bsd ->
+      { demux = No_demux; lazy_proto = false; napi = false; gro = false }
+  | Soft_lrp ->
+      { demux = Host_demux; lazy_proto = true; napi = false; gro = false }
+  | Ni_lrp ->
+      { demux = Ni_demux; lazy_proto = true; napi = false; gro = false }
+  | Early_demux ->
+      { demux = Host_demux; lazy_proto = false; napi = false; gro = false }
+  | Napi | Rss ->
+      { demux = No_demux; lazy_proto = false; napi = true; gro = false }
+  | Napi_gro ->
+      { demux = No_demux; lazy_proto = false; napi = true; gro = true }
+
+let is_lrp arch = (policy_of_arch arch).lazy_proto
 
 type config = {
   arch : arch;
@@ -168,15 +187,15 @@ type app = {
    instead of preempting them).
 
    A poll round's batch lives in the queue's record as parallel columns
-   (packet, mbuf reservation made at dequeue time as the driver would,
-   fragment flag: fragments stay on byte accounting, see [bsd_driver_rx])
-   sized to the most frames one round can dequeue, so collecting and
-   delivering a batch stores into existing slots.  A held GRO train is
-   the index range [b_len, b_len + tr_len) of the packet column, just
-   past the committed items.  The softirq chain and ksoftirqd never poll
-   one queue at the same time (ksoftirqd only runs once the chain has
-   handed over, and the chain only restarts once ksoftirqd has given the
-   queue back to interrupt mode), so one batch per queue serves both. *)
+   (packet, and the mbuf reservation made at dequeue time as the driver
+   would, see [reserve_rx]) sized to the most frames one round can
+   dequeue, so collecting and delivering a batch stores into existing
+   slots.  A held GRO train is the index range [b_len, b_len + tr_len)
+   of the packet column, just past the committed items.  The softirq
+   chain and ksoftirqd never poll one queue at the same time (ksoftirqd
+   only runs once the chain has handed over, and the chain only restarts
+   once ksoftirqd has given the queue back to interrupt mode), so one
+   batch per queue serves both. *)
 type napi = {
   nq : int;                              (* receive-queue index *)
   mutable poll_on : bool;
@@ -189,7 +208,6 @@ type napi = {
   mutable ksoftirqd : Proc.t option;
   b_pkt : Packet.t array;
   b_mh : int array;
-  b_frag : bool array;
   mutable b_len : int;                   (* items in the batch *)
   mutable b_served : int;                (* frames the round dequeued *)
   mutable tr_len : int;                  (* frames in the held GRO train *)
@@ -205,11 +223,9 @@ let nf_cost = 1
    one int instead of building a closure.  Registered by [create] once
    the kernel record exists. *)
 type rx_targets = {
-  rx_intr : Packet.t Cpu.target;         (* BSD driver interrupt *)
-  rx_demux : Packet.t Cpu.target;        (* SOFT-LRP demux interrupt *)
-  edemux_intr : Packet.t Cpu.target;     (* Early-Demux interrupt *)
-  softnet : Packet.t Cpu.target;         (* BSD softnet; int = mbuf handle *)
-  edemux_softnet : Packet.t Cpu.target;  (* int = mbuf handle *)
+  rx_intr : Packet.t Cpu.target;         (* driver interrupt, no demux *)
+  rx_demux : Packet.t Cpu.target;        (* host demux interrupt *)
+  softnet : Packet.t Cpu.target;         (* eager IP input; int = mbuf handle *)
   edemux_forward : Packet.t Cpu.target;
   reasm_complete : Packet.t Cpu.target;  (* transport input of a whole *)
   ni_wake : Proc.waitq Cpu.target;
@@ -222,8 +238,7 @@ type rx_targets = {
 
 let no_rx_targets =
   { rx_intr = Cpu.no_target; rx_demux = Cpu.no_target;
-    edemux_intr = Cpu.no_target; softnet = Cpu.no_target;
-    edemux_softnet = Cpu.no_target; edemux_forward = Cpu.no_target;
+    softnet = Cpu.no_target; edemux_forward = Cpu.no_target;
     reasm_complete = Cpu.no_target; ni_wake = Cpu.no_target;
     ni_wake_members = Cpu.no_target; ni_app = Cpu.no_target;
     napi_irq = Cpu.no_target; napi_round = Cpu.no_target;
@@ -253,6 +268,7 @@ type t = {
   mutable interfaces : (Packet.ip * int * Nic.t) list;
       (* (address, prefix length, nic); multi-homed gateways have several *)
   cfg : config;
+  pol : policy;  (* derived from [cfg.arch] by [create] *)
   c : Cost.t;
   ip_addr : Packet.ip;
   (* --- BSD path state --- *)
@@ -317,12 +333,10 @@ let nic t = t.nic
 let config t = t.cfg
 let costs t = t.c
 let stats t = t.stats
-let arch t = t.cfg.arch
 let ip_address t = t.ip_addr
 let chantab t = t.chantab
 let mbufs t = t.mbufs
-let lrp_mode t = is_lrp t.cfg.arch
-let now t = Engine.now t.engine
+let lrp_mode t = t.pol.lazy_proto
 
 (* Interface-list walks are top-level recursions, so answering a
    per-packet "is this ours?" builds no closure. *)
@@ -382,7 +396,6 @@ let tracer t = t.tracer
 let metrics t = t.metrics
 
 let set_tracing t on = Trace.set_enabled t.tracer on
-let tracing t = Trace.enabled t.tracer
 
 (* Only the TCP and APP-thread paths write notes.  Even a disabled note
    is not free: [Printf.ifprintf] still builds a closure per argument, so
@@ -419,25 +432,38 @@ let ip_output t pkt =
 (* Per-segment transmit cost (protocol output + driver). *)
 let seg_out_cost t = t.c.Cost.tcp_out +. t.c.Cost.ip_out +. t.c.Cost.driver_tx
 
-(* Free a packet's mbufs.  LRP receive paths never allocate from the mbuf
-   pool (packets live in NI channel buffers), so the free is conditional on
-   the architecture that allocated. *)
-let free_rx_mbufs t bytes =
-  match t.cfg.arch with
-  | Bsd | Early_demux | Napi | Napi_gro | Rss -> Mbuf.free t.mbufs ~bytes
-  | Soft_lrp | Ni_lrp -> ()
+(* [reserve_rx]'s answer when the pool is exhausted; distinct from
+   [Mbuf.no_handle], a reservation held by bytes. *)
+let rx_no_mbufs = -2
 
-(* Handle-aware variant: the mbuf kernels' non-fragment receive path
-   carries the pool handle from the driver's {!Mbuf.alloc_h} all the way
-   to the free site, so the count returned is the count reserved — no
-   per-site byte recomputation to drift.  Fragments (whose reassembled
-   whole has a different wire footprint than the sum of its pieces) stay
-   on byte accounting with [mh = Mbuf.no_handle]. *)
+(* The one RX mbuf reservation of the eager kernels.  A non-fragment
+   datagram carries its reservation as a pool handle from here to the
+   copyout (or drop) site, so the count freed is the count reserved.
+   Fragments (whose reassembled whole has a different wire footprint than
+   the sum of its pieces), and GRO's merged TCP segments, are reserved
+   [~by_bytes] and answer [Mbuf.no_handle].  On exhaustion the drop is
+   counted and traced here and the answer is [rx_no_mbufs]. *)
+let reserve_rx t (pkt : Packet.t) ~by_bytes =
+  let bytes = Packet.wire_bytes pkt in
+  let mh =
+    if by_bytes then
+      if Mbuf.alloc t.mbufs ~bytes then Mbuf.no_handle else rx_no_mbufs
+    else
+      let h = Mbuf.alloc_h t.mbufs ~bytes in
+      if h >= 0 then h else rx_no_mbufs
+  in
+  if mh = rx_no_mbufs then begin
+    t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
+    Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
+  end;
+  mh
+
+(* Free a received packet's reservation: by handle when the receive path
+   carried one, by bytes otherwise.  Lazy kernels never draw RX packets
+   from the pool (they live in NI channel buffers). *)
 let free_rx_pkt t ~mh bytes =
-  match t.cfg.arch with
-  | Bsd | Early_demux | Napi | Napi_gro | Rss ->
-      if mh >= 0 then Mbuf.free_h t.mbufs mh else Mbuf.free t.mbufs ~bytes
-  | Soft_lrp | Ni_lrp -> ()
+  if not t.pol.lazy_proto then
+    if mh >= 0 then Mbuf.free_h t.mbufs mh else Mbuf.free t.mbufs ~bytes
 
 (* Receiver-side content-checksum verification.  Corrupted packets die at
    the first transport-level touch: counted, traced, and never delivered,
@@ -493,10 +519,7 @@ let update_listen_gate t (listener : Tcp.conn) =
     match Hashtbl.find t.conn_chan listener.Tcp.id with
     | exception Not_found -> ()
     | ch ->
-        let load =
-          listener.Tcp.syn_pending + Queue.length listener.Tcp.accept_queue
-        in
-        if load >= listener.Tcp.backlog then Channel.disable_processing ch
+        if Tcp.backlog_full listener then Channel.disable_processing ch
         else Channel.enable_processing ch
 
 (* ------------------------------------------------------------------ *)
@@ -533,9 +556,9 @@ and drain_tcp_channel t ch =
   let pkt = Channel.pop ch in
   if pkt != Packet.null then begin
     (Cpu.stage t.cpu).(0) <-
-      (match t.cfg.arch with
-       | Ni_lrp -> t.c.Cost.ni_channel_access
-       | Bsd | Soft_lrp | Early_demux | Napi | Napi_gro | Rss -> 0.)
+      (match t.pol.demux with
+       | Ni_demux -> t.c.Cost.ni_channel_access
+       | No_demux | Host_demux -> 0.)
       +. (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in));
     Cpu.compute_proto t.cpu ~flow:(Channel.id ch);
     (match Hashtbl.find t.chan_conn (Channel.id ch) with
@@ -715,14 +738,13 @@ let deregister_conn t conn =
    flag did. *)
 let fire_tcp_timer t tm =
   let gen = Tcp.timer_gen tm in
-  match t.cfg.arch with
-  | Bsd | Early_demux | Napi | Napi_gro | Rss ->
-      Cpu.post_soft t.cpu ~label:"tcp-timer"
-        ~cost:(t.c.Cost.soft_dispatch
-               +. (t.c.Cost.eager_penalty *. t.c.Cost.tcp_in))
-        (fun () -> Tcp.timer_fired tm ~gen)
-  | Soft_lrp | Ni_lrp ->
-      app_post_timer t (Tcp.timer_conn tm) (fun () -> Tcp.timer_fired tm ~gen)
+  if t.pol.lazy_proto then
+    app_post_timer t (Tcp.timer_conn tm) (fun () -> Tcp.timer_fired tm ~gen)
+  else
+    Cpu.post_soft t.cpu ~label:"tcp-timer"
+      ~cost:(t.c.Cost.soft_dispatch
+             +. (t.c.Cost.eager_penalty *. t.c.Cost.tcp_in))
+      (fun () -> Tcp.timer_fired tm ~gen)
 
 (* Typed dispatcher for [Api.recvfrom_timeout] deadlines: registered once
    per kernel, so arming a timeout allocates a (socket, flag) pair instead
@@ -787,7 +809,7 @@ let make_tcp_env t =
       (fun conn ->
         (* NI-LRP deallocates the channel on entry to TIME_WAIT so that NI
            channel slots scale to busy servers (section 4.2). *)
-        if t.cfg.arch = Ni_lrp then
+        if t.pol.demux = Ni_demux then
           match conn.Tcp.remote with
           | Some (rip, rport) ->
               Chantab.remove_tcp t.chantab ~src:rip ~src_port:rport
@@ -843,24 +865,12 @@ let rec deliver_to_members t (pkt : Packet.t) ~sport payload = function
   | (sock : Socket.t) :: rest ->
       if peer_accepts t sock ~src:pkt.Packet.ip.Packet.src ~sport then begin
         let dup_h =
-          match t.cfg.arch with
-          | Bsd | Early_demux | Napi | Napi_gro | Rss ->
-              Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes pkt)
-          | Soft_lrp | Ni_lrp -> Mbuf.no_handle
+          if t.pol.lazy_proto then Mbuf.no_handle
+          else reserve_rx t pkt ~by_bytes:false
         in
-        let dup_ok =
-          match t.cfg.arch with
-          | Bsd | Early_demux | Napi | Napi_gro | Rss -> dup_h >= 0
-          | Soft_lrp | Ni_lrp -> true
-        in
-        if dup_ok then begin
-          if not (deposit_and_wake t sock pkt ~sport payload ~mh:dup_h) then
-            free_rx_pkt t ~mh:dup_h (Packet.wire_bytes pkt)
-        end
-        else begin
-          t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-          Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-        end
+        if dup_h <> rx_no_mbufs
+           && not (deposit_and_wake t sock pkt ~sport payload ~mh:dup_h)
+        then free_rx_pkt t ~mh:dup_h (Packet.wire_bytes pkt)
       end;
       deliver_to_members t pkt ~sport payload rest
 
@@ -931,7 +941,7 @@ let deliver_tcp t (pkt : Packet.t) ~ctx =
           end)
 
 (* Transport-level processing of a complete (reassembled) datagram; runs in
-   softint context under BSD / Early-Demux. *)
+   softint (or poll) context in the eager kernels. *)
 let bsd_transport_input t (pkt : Packet.t) ~mh =
   match pkt.Packet.body with
   | Packet.Udp _ ->
@@ -951,9 +961,14 @@ let bsd_transport_input t (pkt : Packet.t) ~mh =
    reads them): a float returned from a call is boxed. *)
 
 (* Cost of eager transport processing for a complete datagram, into
-   [c.(0)]. *)
-let stage_transport_cost t (pkt : Packet.t) ~skip_pcb c =
-  let pcb = if skip_pcb then 0. else t.c.Cost.pcb_lookup in
+   [c.(0)].  A kernel with a demux site has already found the endpoint,
+   so it skips the PCB lookup. *)
+let stage_transport_cost t (pkt : Packet.t) c =
+  let pcb =
+    match t.pol.demux with
+    | No_demux -> t.c.Cost.pcb_lookup
+    | Host_demux | Ni_demux -> 0.
+  in
   let base =
     match pkt.Packet.body with
     | Packet.Udp _ -> t.c.Cost.udp_in +. pcb
@@ -964,34 +979,42 @@ let stage_transport_cost t (pkt : Packet.t) ~skip_pcb c =
   c.(0) <- t.c.Cost.eager_penalty *. base
 
 (* ------------------------------------------------------------------ *)
-(* BSD receive path                                                     *)
+(* Eager receive path (no lazy protocol processing)                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Completion discovered while processing a fragment: the transport
    processing of the whole datagram is a separate softint activation.
    Fragments arrive without a handle; the whole is freed by bytes, as its
    pieces were allocated. *)
-let post_reasm_complete t whole ~skip_pcb =
-  stage_transport_cost t whole ~skip_pcb (Cpu.stage t.cpu);
+let post_reasm_complete t whole =
+  stage_transport_cost t whole (Cpu.stage t.cpu);
   Cpu.post_soft_to t.cpu ~label:"ip-reasm-complete"
     ~tpkt:whole.Packet.ip.Packet.ident ~poll:false t.tg.reasm_complete whole 0
 
-(* The BSD softint's cost for [pkt], into [c.(0)]. *)
-let stage_bsd_soft_cost t (pkt : Packet.t) c =
+(* The eager softint's cost for [pkt], into [c.(0)].  A packet that went
+   through the shared IP queue pays its dequeue ([ipq_op]); one that was
+   demultiplexed early did not queue there and adds a zero term, which
+   leaves the sum bit-for-bit what it would be without it. *)
+let stage_eager_cost t (pkt : Packet.t) c =
+  let ipq =
+    match t.pol.demux with
+    | No_demux -> t.c.Cost.ipq_op
+    | Host_demux | Ni_demux -> 0.
+  in
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
   then
     (* Transit packet: IP forwarding (or discard) in softint context. *)
     c.(0) <-
-      t.c.Cost.soft_dispatch +. t.c.Cost.ipq_op
+      t.c.Cost.soft_dispatch +. ipq
       +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward))
   else begin
     let frag = Packet.is_fragment pkt in
     let frag_extra =
       if frag then t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag else 0.
     in
-    if frag then c.(0) <- 0. else stage_transport_cost t pkt ~skip_pcb:false c;
+    if frag then c.(0) <- 0. else stage_transport_cost t pkt c;
     c.(0) <-
-      t.c.Cost.soft_dispatch +. t.c.Cost.ipq_op
+      t.c.Cost.soft_dispatch +. ipq
       +. (t.c.Cost.eager_penalty *. t.c.Cost.ip_in)
       +. frag_extra +. c.(0) +. t.c.Cost.sockbuf_append
   end
@@ -1005,8 +1028,10 @@ let forward_or_drop t pkt ~mh =
   end
   else t.stats.fwd_drops <- t.stats.fwd_drops + 1
 
-let bsd_softnet t pkt ~mh =
-  t.ipq_len <- t.ipq_len - 1;
+(* The one eager IP input: forward a transit packet, reassemble, and run
+   transport input on a complete datagram — at once for an unfragmented
+   one, as a separate softint activation for one a fragment completed. *)
+let ip_input_eager t pkt ~mh =
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
   then forward_or_drop t pkt ~mh
   else
@@ -1014,27 +1039,27 @@ let bsd_softnet t pkt ~mh =
     (* [Packet.null]: incomplete datagram; fragments wait in the
        reassembler. *)
     if whole != Packet.null then
-      if Packet.is_fragment pkt then post_reasm_complete t whole ~skip_pcb:false
+      if Packet.is_fragment pkt then post_reasm_complete t whole
       else bsd_transport_input t whole ~mh
 
+(* The softnet activation: the packet leaves the shared IP queue, if it
+   was on it, for eager IP input. *)
+let softnet t pkt ~mh =
+  (match t.pol.demux with
+   | No_demux -> t.ipq_len <- t.ipq_len - 1
+   | Host_demux | Ni_demux -> ());
+  ip_input_eager t pkt ~mh
+
+let post_softnet t (pkt : Packet.t) mh =
+  stage_eager_cost t pkt (Cpu.stage t.cpu);
+  Cpu.post_soft_to t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
+    ~poll:false t.tg.softnet pkt mh
+
+(* The driver interrupt of a kernel without a demux site: reserve the
+   packet's mbufs and append it to the shared IP queue. *)
 let bsd_driver_rx t pkt =
-  (* Non-fragment datagrams carry their mbuf reservation as a handle from
-     here to the copyout (or drop) site; fragment reservations are
-     recounted by bytes because the reassembled whole's footprint differs
-     from the sum of its pieces. *)
-  let is_frag = Packet.is_fragment pkt in
-  let mh =
-    if is_frag then Mbuf.no_handle
-    else Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes pkt)
-  in
-  let alloc_ok =
-    if is_frag then Mbuf.alloc t.mbufs ~bytes:(Packet.wire_bytes pkt)
-    else mh >= 0
-  in
-  if not alloc_ok then begin
-    t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-    Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-  end
+  let mh = reserve_rx t pkt ~by_bytes:(Packet.is_fragment pkt) in
+  if mh = rx_no_mbufs then ()
   else if t.ipq_len >= t.cfg.ip_queue_limit then begin
     (* The shared IP queue is full: the drop point that couples unrelated
        sockets under BSD (section 2.2). *)
@@ -1047,9 +1072,7 @@ let bsd_driver_rx t pkt =
     if t.ipq_len > t.stats.ipq_hwm then t.stats.ipq_hwm <- t.ipq_len;
     Trace.ipq_enqueue t.tracer ~pkt:pkt.Packet.ip.Packet.ident
       ~qlen:t.ipq_len;
-    stage_bsd_soft_cost t pkt (Cpu.stage t.cpu);
-    Cpu.post_soft_to t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
-      ~poll:false t.tg.softnet pkt mh
+    post_softnet t pkt mh
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1078,37 +1101,29 @@ let rss_steer pkt ~queues =
 (* GRO train cap, the analogue of the 64 kB aggregation limit. *)
 let gro_max_segs = 16
 
-let napi_add n pkt mh frag =
+let napi_add n pkt mh =
   let i = n.b_len in
   n.b_pkt.(i) <- pkt;
   n.b_mh.(i) <- mh;
-  n.b_frag.(i) <- frag;
   n.b_len <- i + 1
 
 (* Add the protocol-processing cost of one polled packet to the batch:
-   the BSD softint work minus the parts the poll loop does not repeat per
-   packet (softirq dispatch, shared-IP-queue churn).  The per-packet ring
-   dequeue is charged separately ([poll_dequeue]). *)
+   the eager softint work minus the parts the poll loop does not repeat
+   per packet (softirq dispatch, shared-IP-queue churn).  The per-packet
+   ring dequeue is charged separately ([poll_dequeue]). *)
 let napi_add_proto_cost t n pkt =
   let s = Cpu.stage t.cpu in
-  stage_bsd_soft_cost t pkt s;
+  stage_eager_cost t pkt s;
   n.nf.(nf_cost) <-
     n.nf.(nf_cost) +. (s.(0) -. t.c.Cost.soft_dispatch -. t.c.Cost.ipq_op)
 
-(* Admit one packet the BSD way: reserve its mbufs (drop on pool
+(* Admit one packet the driver's way: reserve its mbufs (drop on pool
    exhaustion) and charge full eager protocol processing. *)
 let napi_admit t n pkt =
-  let frag = Packet.is_fragment pkt in
-  let bytes = Packet.wire_bytes pkt in
-  let mh = if frag then Mbuf.no_handle else Mbuf.alloc_h t.mbufs ~bytes in
-  let ok = if frag then Mbuf.alloc t.mbufs ~bytes else mh >= 0 in
-  if not ok then begin
-    t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-    Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-  end
-  else begin
+  let mh = reserve_rx t pkt ~by_bytes:(Packet.is_fragment pkt) in
+  if mh <> rx_no_mbufs then begin
     napi_add_proto_cost t n pkt;
-    napi_add n pkt mh frag
+    napi_add n pkt mh
   end
 
 (* GRO may only merge a packet whose merging cannot change what the
@@ -1227,31 +1242,22 @@ let napi_flush t n =
       napi_admit t n head;
       for i = start + 1 to start + len - 1 do
         let p = n.b_pkt.(i) in
-        let mh = Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes p) in
-        if mh < 0 then begin
-          t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-          Trace.mbuf_drop t.tracer ~pkt:p.Packet.ip.Packet.ident
-        end
-        else begin
+        let mh = reserve_rx t p ~by_bytes:false in
+        if mh <> rx_no_mbufs then begin
           n.nf.(nf_cost) <-
             n.nf.(nf_cost) +. t.c.Cost.gro_merge +. t.c.Cost.sockbuf_append;
-          napi_add n p mh false
+          napi_add n p mh
         end
       done
     end
     else begin
       let merged = merge_train (train_list n (start + len - 1) []) in
       n.tr_len <- 0;
-      let bytes = Packet.wire_bytes merged in
-      if not (Mbuf.alloc t.mbufs ~bytes) then begin
-        t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-        Trace.mbuf_drop t.tracer ~pkt:hid
-      end
-      else begin
+      if reserve_rx t merged ~by_bytes:true <> rx_no_mbufs then begin
         napi_add_proto_cost t n merged;
         n.nf.(nf_cost) <-
           n.nf.(nf_cost) +. (float_of_int (len - 1) *. t.c.Cost.gro_merge);
-        napi_add n merged Mbuf.no_handle false
+        napi_add n merged Mbuf.no_handle
       end
     end;
     Trace.gro_flush t.tracer ~pkt:hid ~segs:len
@@ -1327,7 +1333,7 @@ let rec napi_consider t n pkt =
    budget) in [b_served]. *)
 let napi_collect t n =
   let budget = t.cfg.napi_budget in
-  let gro = t.cfg.arch = Napi_gro in
+  let gro = t.pol.gro in
   n.b_len <- 0;
   n.b_served <- 0;
   n.nf.(nf_cost) <- 0.;
@@ -1343,25 +1349,13 @@ let napi_collect t n =
   done;
   if gro then napi_flush t n
 
-(* Deliver item [i] of the batch: the same terminal processing as the
-   BSD softint path, minus the shared IP queue. *)
-let napi_deliver t n i =
-  let pkt = n.b_pkt.(i) and mh = n.b_mh.(i) in
-  n.b_pkt.(i) <- Packet.null;
-  if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
-  then forward_or_drop t pkt ~mh
-  else
-    let whole = Ip.Reasm.insert t.reasm ~clock:(Engine.clock_cell t.engine) pkt in
-    (* [Packet.null]: incomplete datagram; fragments wait in the
-       reassembler. *)
-    if whole != Packet.null then
-      if n.b_frag.(i) then post_reasm_complete t whole ~skip_pcb:false
-      else bsd_transport_input t whole ~mh
-
-(* Deliver the whole batch in order. *)
+(* Deliver the whole batch in order, by the same eager IP input as the
+   softnet path (minus the shared IP queue). *)
 let napi_deliver_all t n =
   for i = 0 to n.b_len - 1 do
-    napi_deliver t n i
+    let pkt = n.b_pkt.(i) in
+    n.b_pkt.(i) <- Packet.null;
+    ip_input_eager t pkt ~mh:n.b_mh.(i)
   done;
   n.b_len <- 0
 
@@ -1485,10 +1479,10 @@ and ksoftirqd_poll t n quiet =
 let ksoftirqd_loop t n = ksoftirqd_wait t n
 
 (* ------------------------------------------------------------------ *)
-(* LRP receive path (shared by SOFT-LRP and NI-LRP)                     *)
+(* Lazy receive path: classification onto NI channels                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Wake a consumer from NI context.  Under soft demux we are already in a
+(* Wake a consumer from NI context.  Under host demux we are already in a
    hardware interrupt, so the wake is immediate; under NI demux the NI must
    raise a (cheap) host interrupt to do it. *)
 let ni_intr t tgt v =
@@ -1496,9 +1490,9 @@ let ni_intr t tgt v =
   Cpu.post_hard_to t.cpu ~label:"ni-intr" ~tpkt:(-1) tgt v 0
 
 let ni_wake t wq =
-  match t.cfg.arch with
-  | Ni_lrp -> ni_intr t t.tg.ni_wake wq
-  | Soft_lrp | Bsd | Early_demux | Napi | Napi_gro | Rss -> wake_one t wq
+  match t.pol.demux with
+  | Ni_demux -> ni_intr t t.tg.ni_wake wq
+  | No_demux | Host_demux -> wake_one t wq
 
 let rec wake_members t = function
   | [] -> ()
@@ -1507,16 +1501,14 @@ let rec wake_members t = function
       wake_members t rest
 
 let ni_wake_members t members =
-  match t.cfg.arch with
-  | Ni_lrp -> ni_intr t t.tg.ni_wake_members members
-  | Soft_lrp | Bsd | Early_demux | Napi | Napi_gro | Rss ->
-      wake_members t !members
+  match t.pol.demux with
+  | Ni_demux -> ni_intr t t.tg.ni_wake_members members
+  | No_demux | Host_demux -> wake_members t !members
 
 let ni_wake_app t conn ch =
-  match t.cfg.arch with
-  | Ni_lrp -> ni_intr t t.tg.ni_app (conn, ch)
-  | Soft_lrp | Bsd | Early_demux | Napi | Napi_gro | Rss ->
-      app_post_chan t conn ch
+  match t.pol.demux with
+  | Ni_demux -> ni_intr t t.tg.ni_app (conn, ch)
+  | No_demux | Host_demux -> app_post_chan t conn ch
 
 let lrp_classify_rx t pkt =
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
@@ -1605,52 +1597,18 @@ let lrp_classify_rx t pkt =
                   ni_wake t t.helper_wq))
 
 (* ------------------------------------------------------------------ *)
-(* Early-Demux receive path                                             *)
+(* Eager receive path with a demux site (Early-Demux)                   *)
 (* ------------------------------------------------------------------ *)
 
 let edemux_drop t pkt =
   t.stats.edemux_early_drops <- t.stats.edemux_early_drops + 1;
   Trace.early_discard t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
 
-(* Eager protocol processing of a packet that passed the early check.
-   Early demux has already found the endpoint, so the transport cost
-   skips the PCB lookup. *)
+(* A packet that passed the early check: reserve its mbufs and queue
+   eager IP input, bypassing the shared IP queue. *)
 let edemux_eager t pkt =
-  let is_frag = Packet.is_fragment pkt in
-  let c = Cpu.stage t.cpu in
-  let frag_extra =
-    if is_frag then t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag
-    else 0.
-  in
-  if is_frag then c.(0) <- 0. else stage_transport_cost t pkt ~skip_pcb:true c;
-  let cost =
-    t.c.Cost.soft_dispatch
-    +. (t.c.Cost.eager_penalty *. t.c.Cost.ip_in)
-    +. frag_extra +. c.(0) +. t.c.Cost.sockbuf_append
-  in
-  let mh =
-    if is_frag then Mbuf.no_handle
-    else Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes pkt)
-  in
-  let alloc_ok =
-    if is_frag then Mbuf.alloc t.mbufs ~bytes:(Packet.wire_bytes pkt)
-    else mh >= 0
-  in
-  if not alloc_ok then begin
-    t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-    Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-  end
-  else begin
-    c.(0) <- cost;
-    Cpu.post_soft_to t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
-      ~poll:false t.tg.edemux_softnet pkt mh
-  end
-
-let edemux_softnet t pkt mh =
-  let whole = Ip.Reasm.insert t.reasm ~clock:(Engine.clock_cell t.engine) pkt in
-  if whole != Packet.null then
-    if Packet.is_fragment pkt then post_reasm_complete t whole ~skip_pcb:true
-    else bsd_transport_input t whole ~mh
+  let mh = reserve_rx t pkt ~by_bytes:(Packet.is_fragment pkt) in
+  if mh <> rx_no_mbufs then post_softnet t pkt mh
 
 (* The early check of a TCP segment: discard when the connection's
    receive buffer is full, or when a SYN finds a full listen backlog. *)
@@ -1664,10 +1622,7 @@ let edemux_tcp t pkt =
       if Demux.syn_only_of_packet pkt then
         match Hashtbl.find t.tcp_listeners dport with
         | l ->
-            if l.Tcp.syn_pending + Queue.length l.Tcp.accept_queue
-               >= l.Tcp.backlog
-            then edemux_drop t pkt
-            else edemux_eager t pkt
+            if Tcp.backlog_full l then edemux_drop t pkt else edemux_eager t pkt
         | exception Not_found ->
             (* No endpoint: process eagerly so TCP answers with an RST, as
                the BSD code this kernel is derived from does. *)
@@ -1678,9 +1633,7 @@ let edemux_rx t pkt =
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
   then begin
     if t.cfg.forwarding then begin
-      (Cpu.stage t.cpu).(0) <-
-        t.c.Cost.soft_dispatch
-        +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward));
+      stage_eager_cost t pkt (Cpu.stage t.cpu);
       Cpu.post_soft_to t.cpu ~label:"ip-forward" ~tpkt:(-1) ~poll:false
         t.tg.edemux_forward pkt 0
     end
@@ -1709,35 +1662,31 @@ let edemux_rx t pkt =
 (* NIC receive dispatch                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Classification at the demux site: onto NI channels for lazy
+   processing, or the early check in front of eager processing. *)
+let demux_rx t pkt =
+  if t.pol.lazy_proto then lrp_classify_rx t pkt else edemux_rx t pkt
+
+(* A frame from a non-queued interface.  Queued-RX (NAPI) interfaces hand
+   their frames to the poll loop without coming here; a NAPI kernel's
+   secondary interfaces do, and take the driver path. *)
 let rx_dispatch t pkt =
   t.stats.rx_frames <- t.stats.rx_frames + 1;
   let stage = Cpu.stage t.cpu in
-  match t.cfg.arch with
-  | Bsd ->
+  match t.pol.demux with
+  | No_demux ->
       stage.(0) <- t.c.Cost.hard_rx +. t.c.Cost.ipq_op;
       Cpu.post_hard_to t.cpu ~label:"rx-intr" ~tpkt:pkt.Packet.ip.Packet.ident
         t.tg.rx_intr pkt 0
-  | Soft_lrp ->
-      (* Soft demux: classification runs in the hardware interrupt. *)
+  | Host_demux ->
+      (* Classification runs in the hardware interrupt. *)
       stage.(0) <- t.c.Cost.hard_rx +. t.c.Cost.demux;
       Cpu.post_hard_to t.cpu ~label:"rx-demux"
         ~tpkt:pkt.Packet.ip.Packet.ident t.tg.rx_demux pkt 0
-  | Ni_lrp ->
-      (* NI demux: classification runs on the interface's embedded
-         processor — zero host CPU. *)
-      lrp_classify_rx t pkt
-  | Early_demux ->
-      stage.(0) <- t.c.Cost.hard_rx +. t.c.Cost.demux;
-      Cpu.post_hard_to t.cpu ~label:"rx-demux"
-        ~tpkt:pkt.Packet.ip.Packet.ident t.tg.edemux_intr pkt 0
-  | Napi | Napi_gro | Rss ->
-      (* Only non-queued interfaces reach this handler (the primary NIC
-         runs in queued-RX mode and hands frames to the poll loop without
-         going through it); secondary interfaces of a multi-homed host
-         fall back to the eager BSD path. *)
-      stage.(0) <- t.c.Cost.hard_rx +. t.c.Cost.ipq_op;
-      Cpu.post_hard_to t.cpu ~label:"rx-intr" ~tpkt:pkt.Packet.ip.Packet.ident
-        t.tg.rx_intr pkt 0
+  | Ni_demux ->
+      (* Classification runs on the interface's embedded processor — zero
+         host CPU. *)
+      demux_rx t pkt
 
 (* Register the receive path's typed CPU work handlers (see
    [rx_targets]). *)
@@ -1745,10 +1694,8 @@ let register_rx_targets t =
   let tg f = Cpu.target t.cpu f in
   t.tg <-
     { rx_intr = tg (fun pkt _ -> bsd_driver_rx t pkt);
-      rx_demux = tg (fun pkt _ -> lrp_classify_rx t pkt);
-      edemux_intr = tg (fun pkt _ -> edemux_rx t pkt);
-      softnet = tg (fun pkt mh -> bsd_softnet t pkt ~mh);
-      edemux_softnet = tg (fun pkt mh -> edemux_softnet t pkt mh);
+      rx_demux = tg (fun pkt _ -> demux_rx t pkt);
+      softnet = tg (fun pkt mh -> softnet t pkt ~mh);
       edemux_forward =
         tg (fun pkt _ ->
             t.stats.forwarded <- t.stats.forwarded + 1;
@@ -1806,9 +1753,9 @@ let lrp_process_udp_raw t ch pkt =
   let c = Cpu.stage t.cpu in
   c.(0) <-
     t.c.Cost.sockq
-    +. (match t.cfg.arch with
-        | Ni_lrp -> t.c.Cost.ni_channel_access
-        | Bsd | Soft_lrp | Early_demux | Napi | Napi_gro | Rss -> 0.);
+    +. (match t.pol.demux with
+        | Ni_demux -> t.c.Cost.ni_channel_access
+        | No_demux | Host_demux -> 0.);
   Cpu.compute_proto t.cpu ~flow;
   c.(0) <-
     t.c.Cost.lazy_locality
@@ -1933,8 +1880,9 @@ let create engine fabric ~name ~ip cfg =
   let tracer = Trace.create ~name ~clock:(Engine.clock_cell engine) () in
   let metrics = Metrics.create () in
   let parena = Parena.create () in
+  let pol = policy_of_arch cfg.arch in
   let t =
-    { kname = name; engine; cpu; nic; cfg; c = cfg.costs; ip_addr = ip;
+    { kname = name; engine; cpu; nic; cfg; pol; c = cfg.costs; ip_addr = ip;
       tracer; metrics;
       ipq_len = 0; mbufs = Mbuf.create ~capacity:cfg.mbuf_capacity ();
       parena;
@@ -2027,9 +1975,9 @@ let create engine fabric ~name ~ip cfg =
   let slowtimo_ev = ref Engine.none in
   slowtimo_ev :=
     Engine.schedule_after engine ~delay:(Time.sec 5.) (fun () ->
-        ignore (Ip.Reasm.prune t.reasm ~now:(now t));
+        ignore (Ip.Reasm.prune t.reasm ~now:(Engine.now engine));
         Engine.reschedule_after engine !slowtimo_ev ~delay:(Time.sec 5.));
-  if is_napi cfg.arch then begin
+  if pol.napi then begin
     let queues = max 1 cfg.rx_queues in
     (* [rx_frames] (the overload detector's offered-load numerator) is
        counted in the steer callback: under queued RX the NIC DMAs frames
@@ -2053,8 +2001,7 @@ let create engine fabric ~name ~ip cfg =
             ksoftirqd_wq =
               Proc.waitq (Printf.sprintf "%s.ksoftirqd/%d" name qi);
             ksoftirqd = None; b_pkt = Array.make batch Packet.null;
-            b_mh = Array.make batch Mbuf.no_handle;
-            b_frag = Array.make batch false; b_len = 0; b_served = 0;
+            b_mh = Array.make batch Mbuf.no_handle; b_len = 0; b_served = 0;
             tr_len = 0; tr_udp = false; tr_next_seq = 0 });
     Nic.configure_rx_queues nic ~queues ~ring:cfg.rx_ring
       ~coalesce_pkts:cfg.coalesce_pkts ~coalesce_us:cfg.coalesce_us ~steer
@@ -2068,14 +2015,14 @@ let create engine fabric ~name ~ip cfg =
         n.ksoftirqd <- Some p)
       t.napi
   end;
-  if lrp_mode t && cfg.udp_helper then begin
+  if pol.lazy_proto && cfg.udp_helper then begin
     let p =
       Cpu.spawn cpu ~nice:20 ~name:(name ^ ".udp-helper") (fun _self ->
           helper_loop t)
     in
     t.helper_proc <- Some p
   end;
-  if lrp_mode t && cfg.forwarding then begin
+  if pol.lazy_proto && cfg.forwarding then begin
     let p =
       Cpu.spawn cpu ~nice:cfg.fwd_nice ~name:(name ^ ".ipfwdd") (fun _self ->
           fwd_daemon_loop t)

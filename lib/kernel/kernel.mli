@@ -1,36 +1,41 @@
 (** Simulated host kernel, parameterised by network-subsystem architecture.
 
     One [Kernel.t] per host.  It owns the CPU, the NIC, the protocol state
-    (PCBs, reassembly, TCP connections) and implements the four receive
-    architectures the paper compares:
+    (PCBs, reassembly, TCP connections) and runs one receive pipeline:
+    NIC -> demux site -> early discard -> protocol context -> socket.  An
+    architecture is a row of four policy choices, derived once by
+    [create] from [config.arch]:
 
-    - {b Bsd}: eager interrupt-driven processing.  The hardware interrupt
-      stores the packet and appends it to the shared IP queue; a software
-      interrupt performs IP + transport processing and deposits data on the
-      socket queue; the application finally copies it out in a receive
-      system call (section 2.1).
-    - {b Soft_lrp}: LRP with demultiplexing in the interrupt handler: the
-      hardware interrupt classifies the packet onto its NI channel (early
-      discard if full); all protocol processing happens lazily in the
-      receiver's context or in an APP thread charged to the receiver.
-    - {b Ni_lrp}: like [Soft_lrp], but classification and discard happen on
-      the network interface itself at zero host cost; the host is
-      interrupted only when a blocked receiver must be woken.
-    - {b Early_demux}: the control experiment of section 4.2 — early
-      demultiplexing and early discard like SOFT-LRP, but protocol
-      processing stays eager in software-interrupt context like BSD.
+    {v
+    arch         demux site  lazy protocol  NAPI poll  GRO
+    Bsd          none        no             no         no
+    Soft_lrp     host intr   yes            no         no
+    Ni_lrp       NI          yes            no         no
+    Early_demux  host intr   no             no         no
+    Napi         none        no             yes        no
+    Napi_gro     none        no             yes        yes
+    Rss          none        no             yes        no
+    v}
 
-    Three modern (post-paper) back-ends extend the comparison to the
-    receive architectures that eventually shipped in mainstream kernels:
-
-    - {b Napi}: interrupt mitigation with budgeted polling and NIC-level
-      interrupt coalescing; budget exhaustion defers polling to a
-      fairly-scheduled ksoftirqd process.
-    - {b Napi_gro}: [Napi] plus receive-offload aggregation of
-      consecutive in-order same-flow TCP segments (and same-flow UDP
-      datagram trains) at the poll loop.
-    - {b Rss}: receive-side scaling: flows hash over the packed flow key
-      onto several receive rings, each with its own NAPI poll context.
+    - {e Demux site}: where a frame is classified onto its endpoint.
+      With none, the driver interrupt queues it on the shared IP queue
+      and finds the endpoint only after protocol processing; at the host
+      interrupt or on the NI, an endpoint's full queue discards it early.
+      NI demux costs the host nothing; it is interrupted only to wake a
+      blocked receiver.
+    - {e Lazy protocol}: protocol processing runs in the receiver's
+      context (or an APP thread charged to it) from per-endpoint NI
+      channels, instead of eagerly in a software interrupt.  A lazy
+      kernel draws no RX mbufs and runs the UDP helper and the
+      forwarding daemon.  Early-Demux is the paper's section 4.2 control:
+      early discard without lazy processing.
+    - {e NAPI poll}: a cheap mitigated interrupt masks the queue and
+      schedules budgeted poll rounds; budget exhaustion defers polling to
+      a fairly-scheduled ksoftirqd process.  [Rss] is [Napi] with 4
+      receive rings ([default_config]'s [rx_queues]).
+    - {e GRO}: the poll loop merges in-order same-flow TCP segments into
+      one super-segment and lets same-flow UDP trains share one protocol
+      pass.
 
     All architectures share the same protocol code ({!Lrp_proto.Tcp},
     {!Lrp_proto.Ip}) and the same cost table, exactly as the paper's kernels
@@ -54,10 +59,10 @@ val arch_of_key : string -> arch option
 (** Inverse of {!arch_key}. *)
 
 val is_lrp : arch -> bool
+(** The architecture processes protocols lazily ([Soft_lrp], [Ni_lrp]). *)
 
-val is_napi : arch -> bool
-(** The NAPI-family back-ends ([Napi], [Napi_gro], [Rss]): the NIC runs
-    in queued-RX mode and the host polls. *)
+type policy
+(** One row of the policy table above, derived from [arch]. *)
 
 type config = {
   arch : arch;
@@ -112,61 +117,17 @@ type kstats = {
   mutable ipq_hwm : int;
       (** deepest shared-IP-queue depth observed (BSD path) *)
 }
-type job = Jchan of Lrp_core.Channel.t | Jtimer of (unit -> unit)
-type app = {
-  app_owner : Lrp_sim.Proc.t;
-  jobs : job Queue.t;
-  app_wq : Lrp_sim.Proc.waitq;
-  mutable app_proc : Lrp_sim.Proc.t option;
-}
-(** An owner's APP thread.  It has at most one [Jchan] job per channel
-    queued; the channel tracks which APP threads have one
-    ({!Lrp_core.Channel.drain_queued}, keyed by owner pid). *)
+type app
+(** An owner's APP thread: its protocol-processing jobs and wait queue. *)
 
-(** Per-receive-queue NAPI poll context: the "scheduled" bit, the
-    packets served since the interrupt was masked (a softirq polling
-    episode defers to ksoftirqd once this reaches the budget), the
-    ksoftirqd hand-off flag, the ksoftirqd process itself, and the poll
-    batch: parallel columns (packet, mbuf reservation, fragment flag)
-    sized to the most frames one round can dequeue, with a held GRO
-    train as the index range [\[b_len, b_len + tr_len)] of [b_pkt]. *)
-type napi = {
-  nq : int;
-  mutable poll_on : bool;
-  mutable episode : int;
-  nf : float array;
-      (** slot 0: when the last poll round ended; slot 1: the cost of the
-          batch being collected *)
-  mutable in_ksoftirqd : bool;
-  ksoftirqd_wq : Lrp_sim.Proc.waitq;
-  mutable ksoftirqd : Lrp_sim.Proc.t option;
-  b_pkt : Lrp_net.Packet.t array;
-  b_mh : int array;
-  b_frag : bool array;
-  mutable b_len : int;
-  mutable b_served : int;
-  mutable tr_len : int;
-  mutable tr_udp : bool;
-  mutable tr_next_seq : int;
-}
+type napi
+(** A receive queue's NAPI poll context: the scheduled bit, the polling
+    episode, the ksoftirqd hand-off and the poll batch. *)
 
+type rx_targets
 (** The receive path's typed CPU work handlers ({!Lrp_sim.Cpu.target}),
     registered once per kernel so a per-packet post builds no closure. *)
-type rx_targets = {
-  rx_intr : Lrp_net.Packet.t Lrp_sim.Cpu.target;
-  rx_demux : Lrp_net.Packet.t Lrp_sim.Cpu.target;
-  edemux_intr : Lrp_net.Packet.t Lrp_sim.Cpu.target;
-  softnet : Lrp_net.Packet.t Lrp_sim.Cpu.target;
-  edemux_softnet : Lrp_net.Packet.t Lrp_sim.Cpu.target;
-  edemux_forward : Lrp_net.Packet.t Lrp_sim.Cpu.target;
-  reasm_complete : Lrp_net.Packet.t Lrp_sim.Cpu.target;
-  ni_wake : Lrp_sim.Proc.waitq Lrp_sim.Cpu.target;
-  ni_wake_members : Socket.t list ref Lrp_sim.Cpu.target;
-  ni_app : (Lrp_proto.Tcp.conn * Lrp_core.Channel.t) Lrp_sim.Cpu.target;
-  napi_irq : unit Lrp_sim.Cpu.target;
-  napi_round : napi Lrp_sim.Cpu.target;
-  napi_deliver : napi Lrp_sim.Cpu.target;
-}
+
 type t = {
   kname : string;
   engine : Lrp_engine.Engine.t;
@@ -174,6 +135,7 @@ type t = {
   nic : Lrp_net.Nic.t;
   mutable interfaces : (Lrp_net.Packet.ip * int * Lrp_net.Nic.t) list;
   cfg : config;
+  pol : policy;
   c : Cost.t;
   ip_addr : Lrp_net.Packet.ip;
   mutable ipq_len : int;
@@ -226,14 +188,10 @@ val nic : t -> Lrp_net.Nic.t
 val config : t -> config
 val costs : t -> Cost.t
 val stats : t -> kstats
-val arch : t -> arch
 val ip_address : t -> Lrp_net.Packet.ip
 val chantab : t -> Lrp_core.Chantab.t
 val mbufs : t -> Lrp_net.Mbuf.t
 val lrp_mode : t -> bool
-val now : t -> Lrp_engine.Time.t
-val is_local_addr : t -> Lrp_net.Packet.ip -> bool
-val route : t -> int -> Lrp_net.Nic.t
 val add_channel : t -> Lrp_core.Channel.t -> unit
 (** Put a new channel at the head of the reporting list. *)
 
@@ -265,62 +223,28 @@ val metrics : t -> Lrp_trace.Metrics.t
     only a listener increments, always reads 0. *)
 
 val set_tracing : t -> bool -> unit
-val tracing : t -> bool
-
-val trc : t -> ('a, unit, string, unit) format4 -> 'a
-(** Formatted note into the kernel's tracer ([Note] event class); a no-op
-    when tracing is disabled.  Not a free one: the arguments still go
-    through [Printf.ifprintf], which builds a closure per argument, so a
-    hot path tests {!tracing} before calling it. *)
 
 val tcp_env_exn : t -> Lrp_proto.Tcp.env
 val ip_output : t -> Lrp_net.Packet.t -> unit
 val seg_out_cost : t -> float
-val free_rx_mbufs : t -> int -> unit
 val free_rx_pkt : t -> mh:Lrp_net.Mbuf.handle -> int -> unit
 (* Free a received packet's mbuf reservation: by handle when the receive
-   path carried one, by bytes otherwise.  A no-op under the LRP
-   architectures, which never draw RX packets from the mbuf pool. *)
+   path carried one, by bytes otherwise.  A no-op under lazy protocol
+   processing, which never draws RX packets from the mbuf pool. *)
 val udp_send_cost : t -> frags:int -> float
 val wake_all : t -> Lrp_sim.Proc.waitq -> unit
 val recv_timeout_target :
   t -> (Socket.t * bool ref) Lrp_engine.Engine.target
 (* Typed recvfrom-timeout expiry dispatcher (registered on first use):
    sets the flag and wakes the socket's receive waiters. *)
-val wake_one : t -> Lrp_sim.Proc.waitq -> unit
 val update_listen_gate : t -> Lrp_proto.Tcp.conn -> unit
-val app_loop : t -> app -> unit
-val drain_tcp_channel : t -> Lrp_core.Channel.t -> unit
-val tcp_deliver :
-  t ->
-  Lrp_proto.Tcp.conn ->
-  Lrp_net.Packet.t -> ctx:[< `Proc | `Soft > `Proc ] -> unit
-val app_for : t -> Lrp_sim.Proc.t -> app
-val orphan_drain : t -> Lrp_core.Channel.t -> unit -> unit
-val app_post_chan : t -> Lrp_proto.Tcp.conn -> Lrp_core.Channel.t -> unit
-val app_post_timer : t -> Lrp_proto.Tcp.conn -> (unit -> unit) -> unit
 val register_conn :
   t -> Lrp_proto.Tcp.conn -> owner:Lrp_sim.Proc.t option -> unit
-val deregister_conn : t -> Lrp_proto.Tcp.conn -> unit
-val make_tcp_env : t -> Lrp_proto.Tcp.env
-val peer_accepts : t -> Socket.t -> src:Lrp_net.Packet.ip -> sport:int -> bool
-(** Connected-UDP filtering: counts and refuses a datagram from anyone
-    but the socket's default peer. *)
-
 val deliver_udp_ready : t -> Lrp_net.Packet.t -> mh:Lrp_net.Mbuf.handle -> unit
 (** Terminal delivery of a complete UDP datagram: checksum, port lookup,
     peer filter, deposit on the socket's ready queue (or the members'
     queues of a multicast group) and wakeup.  [mh] is the mbuf
     reservation carried from the driver, or [Lrp_net.Mbuf.no_handle]. *)
-
-val icmp_reply : t -> Lrp_net.Packet.t -> unit
-val deliver_tcp :
-  t -> Lrp_net.Packet.t -> ctx:[< `Proc | `Soft > `Proc ] -> unit
-val bsd_transport_input :
-  t -> Lrp_net.Packet.t -> mh:Lrp_net.Mbuf.handle -> unit
-
-val bsd_softnet : t -> Lrp_net.Packet.t -> mh:Lrp_net.Mbuf.handle -> unit
-val bsd_driver_rx : t -> Lrp_net.Packet.t -> unit
 
 val rss_steer : Lrp_net.Packet.t -> queues:int -> int
 (** RSS queue placement: a deterministic integer mix over the packed
@@ -328,18 +252,6 @@ val rss_steer : Lrp_net.Packet.t -> queues:int -> int
     allocation, no structural hashing, stable across seeds and shard
     counts.  Fragments steer by IP ident so one datagram's pieces share
     a ring. *)
-
-val ni_wake : t -> Lrp_sim.Proc.waitq -> unit
-(** Wake the queue's longest sleeper from NI context: at once under soft
-    demux, through a cheap host interrupt under NI demux. *)
-
-val lrp_classify_rx : t -> Lrp_net.Packet.t -> unit
-val edemux_rx : t -> Lrp_net.Packet.t -> unit
-val rx_dispatch : t -> Lrp_net.Packet.t -> unit
-val drain_frag_channel : t -> flow:int -> Lrp_net.Packet.t list
-(** Integrate the fragment channel's pieces into the reassembler,
-    charging each as protocol work on [flow]; returns the datagrams that
-    completed, most recent first. *)
 
 val lrp_process_udp_raw :
   t -> Lrp_core.Channel.t -> Lrp_net.Packet.t -> Lrp_net.Packet.t
@@ -350,8 +262,6 @@ val lrp_process_udp_raw :
     here (datagrams completed from the fragment channel are charged and
     delivered before it returns). *)
 
-val helper_loop : t -> 'a
-val fwd_daemon_loop : t -> 'a
 val create :
   Lrp_engine.Engine.t ->
   Lrp_net.Fabric.t -> name:string -> ip:Lrp_net.Packet.ip -> config -> t

@@ -260,6 +260,10 @@ let timer_fired tm ~gen =
     tm.on_fire (timer_conn tm)
   end
 
+(* A listener's backlog counts embryonic children plus accepted ones not
+   yet claimed; at the limit a new SYN is refused. *)
+let backlog_full l = l.syn_pending + Queue.length l.accept_queue >= l.backlog
+
 (* An embryonic child leaves its listener's backlog unaccepted. *)
 let leave_backlog c =
   match c.parent with
@@ -660,7 +664,7 @@ and input c (pkt : Packet.t) =
 
 and listener_input l (pkt : Packet.t) (h : Packet.tcp_header) =
   if h.Packet.flags.Packet.syn && not h.Packet.flags.Packet.ack then begin
-    if l.syn_pending + Queue.length l.accept_queue >= l.backlog then
+    if backlog_full l then
       (* Backlog exceeded: BSD silently discards the SYN (after having paid
          for its processing — the crux of Figure 5). *)
       l.syn_drops_backlog <- l.syn_drops_backlog + 1

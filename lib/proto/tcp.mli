@@ -114,6 +114,10 @@ and conn = {
 
 val state_name : state -> string
 
+val backlog_full : conn -> bool
+(** A listener's embryonic plus accepted-but-unclaimed children have
+    reached its [backlog]: a new SYN is refused. *)
+
 (** {1 Timer delivery (kernel side)} *)
 
 val timer_conn : timer -> conn

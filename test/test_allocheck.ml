@@ -258,9 +258,9 @@ let test_self_check () =
      && List.for_all
           (fun e -> List.mem e cfg.Aconfig.entries)
           [ "Fabric.forward"; "Nic.receive"; "Kernel.rx_dispatch";
-            "Kernel.bsd_driver_rx"; "Kernel.bsd_softnet";
+            "Kernel.bsd_driver_rx"; "Kernel.softnet";
             "Kernel.lrp_classify_rx"; "Kernel.edemux_rx";
-            "Kernel.edemux_softnet"; "Kernel.napi_irq";
+            "Kernel.ip_input_eager"; "Kernel.napi_irq";
             "Kernel.napi_softirq_round"; "Kernel.napi_deliver_batch";
             "Kernel.deliver_udp_ready"; "Kernel.lrp_process_udp_raw";
             "Socket.deposit_udp"; "Api.recv"; "Api.recvfrom" ]);
