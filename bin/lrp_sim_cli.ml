@@ -420,10 +420,8 @@ let dump_cmd =
     | Ok p ->
         Printf.printf "# %s: %d events (%d overwritten before the dump)\n"
           file (Precorder.length p) (Precorder.dropped p);
-        List.iter
-          (fun (ts, seq, ev) ->
+        Trace.iter_precorder p (fun ~ts ~seq ev ->
             Format.printf "%12.1f %8d  %a@." ts seq Trace.pp_event ev)
-          (Trace.events_of_precorder p)
   in
   Cmd.v
     (Cmd.info "dump"

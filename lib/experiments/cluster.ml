@@ -55,8 +55,9 @@ let run ?(seed = Common.default_seed) ?(racks = default_racks)
   let sources = ref [] in
   for r = 0 to racks - 1 do
     Topology.on_cell topo r (fun (cell : Topology.cell) ->
-        (* Recorders on the first host of each rack only: full rings on
-           all 64 hosts would be ~128 MB for no extra coverage. *)
+        (* Recorders on the first host of each rack only: rings on all
+           64 hosts would multiply the records (and up to 2 MB of columns
+           per full ring) for no extra coverage. *)
         if trace then Kernel.set_tracing cell.kernels.(0) true;
         Array.iter
           (fun k -> sinks := Blast.start_sink k ~port:blast_port () :: !sinks)
@@ -108,11 +109,9 @@ let run ?(seed = Common.default_seed) ?(racks = default_racks)
       in
       let buf = Buffer.create 4096 in
       let fmt = Format.formatter_of_buffer buf in
-      List.iter
-        (fun (stream, ts, seq, ev) ->
+      Lrp_trace.Trace.iter_merged streams (fun ~stream ~ts ~seq ev ->
           Format.fprintf fmt "r%d %12.1f [%6d] %a@." stream ts seq
-            Lrp_trace.Trace.pp_event ev)
-        (Lrp_trace.Trace.merged_events streams);
+            Lrp_trace.Trace.pp_event ev);
       Format.pp_print_flush fmt ();
       Buffer.contents buf
     end

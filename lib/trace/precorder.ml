@@ -5,7 +5,8 @@
    in lib/core): an int kind, a flat float timestamp, an int ident (the
    packet ident, or -1) and one int packing the event's two small
    arguments the way Flowtab packs flow keys.  Recording an event is four
-   array stores and a handful of int ops — no allocation — and the
+   array stores and a handful of int ops — no allocation, apart from the
+   columns' cold doubling, which never touches the minor heap — and the
    timestamp comes straight out of the owner's 1-slot clock array
    ({!Lrp_engine.Engine.clock_cell} for kernels), so no boxed-closure
    clock read happens on the record path either.
@@ -18,7 +19,8 @@
 type t = {
   cap : int;
   clock : float array;  (* owner's clock; slot 0 is "now" *)
-  mutable kcol : int array;    (* [||] until the first recorded event *)
+  mutable kcol : int array;    (* [||] until the first recorded event;
+                                  then grows by doubling up to [cap] *)
   mutable tcol : float array;
   mutable icol : int array;
   mutable acol : int array;
@@ -64,14 +66,39 @@ let unpack_b arg = (arg land 0x7FFF_FFFF) - 1
 
 (* --- record path -------------------------------------------------------- *)
 
+(* The columns start at [first_slots] (or [cap], if smaller) and double
+   up to [cap], so a recorder's footprint tracks what it holds rather
+   than what it could hold.  Until the first wrap the survivors occupy
+   slots [0, count) and [head = count], so a growth is a blit of the
+   whole old column.  1,024 slots is above the minor heap's largest
+   block: every growth allocates straight into the major heap, adding
+   0 minor words, and there is no closure on the path. *)
+let first_slots = 1024
+
 let grow t =
-  t.kcol <- Array.make t.cap 0; (* alloc: cold — lazy first-use sizing *)
-  t.tcol <- Array.make t.cap 0.; (* alloc: cold — lazy first-use sizing *)
-  t.icol <- Array.make t.cap 0; (* alloc: cold — lazy first-use sizing *)
-  t.acol <- Array.make t.cap 0 (* alloc: cold — lazy first-use sizing *)
+  let n = Array.length t.kcol in
+  let m = min t.cap (if n = 0 then first_slots else 2 * n) in
+  (* alloc: cold — column doubling, at most log2(cap / 1024) + 1 times *)
+  let kcol = Array.make m 0 in
+  (* alloc: cold — column doubling *)
+  let tcol = Array.make m 0. in
+  (* alloc: cold — column doubling *)
+  let icol = Array.make m 0 in
+  (* alloc: cold — column doubling *)
+  let acol = Array.make m 0 in
+  Array.blit t.kcol 0 kcol 0 n;
+  Array.blit t.tcol 0 tcol 0 n;
+  Array.blit t.icol 0 icol 0 n;
+  Array.blit t.acol 0 acol 0 n;
+  t.kcol <- kcol;
+  t.tcol <- tcol;
+  t.icol <- icol;
+  t.acol <- acol
 
 let record t ~kind ~ident ~a ~b =
-  if Array.length t.kcol = 0 then grow t;
+  (* Only a column shorter than [cap] can be full: once the columns
+     reach [cap], [head] wraps before it gets there. *)
+  if t.head = Array.length t.kcol then grow t;
   let i = t.head in
   t.kcol.(i) <- kind;
   t.tcol.(i) <- t.clock.(0);
@@ -106,11 +133,27 @@ let get_string t id =
 
 (* --- reading ------------------------------------------------------------ *)
 
+(* The column slot of the [i]-th surviving event, oldest = 0. *)
+let slot t i =
+  if i < 0 || i >= t.count then invalid_arg "Precorder: index out of range";
+  let j = t.head - t.count + i in
+  if j < 0 then j + t.cap else j
+
+let ts_at t i = t.tcol.(slot t i)
+
+let seq_at t i =
+  if i < 0 || i >= t.count then invalid_arg "Precorder: index out of range";
+  t.seq - t.count + i
+
+let decode_at t i f =
+  let j = slot t i in
+  let arg = t.acol.(j) in
+  f ~kind:t.kcol.(j) ~ident:t.icol.(j) ~a:(unpack_a arg) ~b:(unpack_b arg)
+
 let iter t f =
-  let start = (t.head - t.count + (2 * t.cap)) mod t.cap in
   let seq0 = t.seq - t.count in
   for i = 0 to t.count - 1 do
-    let j = (start + i) mod t.cap in
+    let j = slot t i in
     let arg = t.acol.(j) in
     f ~ts:t.tcol.(j) ~seq:(seq0 + i) ~kind:t.kcol.(j) ~ident:t.icol.(j)
       ~a:(unpack_a arg) ~b:(unpack_b arg)
@@ -215,7 +258,7 @@ let of_string s =
           record t ~kind ~ident ~a:(unpack_a arg) ~b:(unpack_b arg);
           (* [record] stamped from the dummy clock; restore the dump's
              timestamp. *)
-          t.tcol.((t.head + t.cap - 1) mod t.cap) <- Int64.float_of_bits bits;
+          t.tcol.(slot t (t.count - 1)) <- Int64.float_of_bits bits;
           records (i + 1)
       in
       let* () = records 0 in

@@ -18,8 +18,10 @@ type t
 val create : ?capacity:int -> clock:float array -> unit -> t
 (** [create ~clock ()] makes a recorder holding up to [capacity] (default
     65536) events; older events are overwritten once full.  [clock] is the
-    owner's 1-slot time array; slot 0 is read at each {!record}.  Columns
-    are allocated lazily on the first recorded event. *)
+    owner's 1-slot time array; slot 0 is read at each {!record}.  The
+    columns are allocated on the first recorded event at 1,024 slots (or
+    [capacity], if smaller) and double as they fill, up to [capacity];
+    from then on the ring wraps. *)
 
 val capacity : t -> int
 val length : t -> int
@@ -35,7 +37,10 @@ val clear : t -> unit
 val record : t -> kind:int -> ident:int -> a:int -> b:int -> unit
 (** Append one event stamped with the current clock value.  [a] and [b]
     must lie in [[-1, 2{^31} - 2]]; out-of-range values are truncated by
-    the packing.  Allocation-free after the first call. *)
+    the packing.  Never allocates minor words.  A recorder's lifetime
+    holds at most [max 1 (ceil (log2 (capacity / 1024)) + 1)] cold column
+    growths, each a major-heap allocation of four columns and a blit of
+    the old ones. *)
 
 val arg_max : int
 (** Largest representable argument value. *)
@@ -53,6 +58,18 @@ val iter :
   unit
 (** Visit surviving events oldest-first with reconstructed sequence
     numbers ([recorded t - length t] onward). *)
+
+(** {1 Index reads}
+
+    In-place reads of the [i]-th surviving event, oldest = 0 and newest
+    = [length t - 1]; they raise [Invalid_argument] outside that range. *)
+
+val ts_at : t -> int -> float
+val seq_at : t -> int -> int
+
+val decode_at :
+  t -> int -> (kind:int -> ident:int -> a:int -> b:int -> 'a) -> 'a
+(** [decode_at t i f] passes the [i]-th event's unpacked fields to [f]. *)
 
 (** {1 Binary dump}
 

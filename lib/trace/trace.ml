@@ -162,34 +162,106 @@ let event_of_packed p ~kind ~ident ~a ~b =
   | 23 -> Gro_flush { pkt = ident; segs = a }
   | k -> Note (Printf.sprintf "unknown-kind-%d" k)
 
+(* Consed from the newest record back, so the list comes out
+   oldest-first without a [List.rev]. *)
 let events_of_precorder p =
+  let decode = event_of_packed p in
   let acc = ref [] in
-  Precorder.iter p (fun ~ts ~seq ~kind ~ident ~a ~b ->
-      acc := (ts, seq, event_of_packed p ~kind ~ident ~a ~b) :: !acc);
-  List.rev !acc
+  for i = Precorder.length p - 1 downto 0 do
+    acc :=
+      (Precorder.ts_at p i, Precorder.seq_at p i, Precorder.decode_at p i decode)
+      :: !acc
+  done;
+  !acc
 
 let events t = events_of_precorder t.store
+
+let iter_precorder p f =
+  let decode = event_of_packed p in
+  Precorder.iter p (fun ~ts ~seq ~kind ~ident ~a ~b ->
+      f ~ts ~seq (decode ~kind ~ident ~a ~b))
 
 (* Merge per-cell recorder streams into one timeline keyed by
    (timestamp, stream id, sequence).  The key is a total order — (stream,
    seq) is unique — and the comparator is explicit field-by-field, so the
    merged dump is deterministic and identical however the streams were
-   produced (any shard count). *)
-let merged_events streams =
-  let all =
-    List.concat_map
-      (fun (stream, t) ->
-        List.map (fun (ts, seq, ev) -> (stream, ts, seq, ev)) (events t))
-      streams
+   produced (any shard count).
+
+   Each stream is time-ordered oldest-first (its engine's clock only
+   moves forward), so its key already rises along the ring and a k-way
+   merge of in-place cursors yields what a stable sort of every record
+   would: walking oldest-first, take the smallest head, the earliest
+   listed stream on a tie.  Walking newest-first — the largest head, the
+   latest listed stream on a tie — visits the same order backwards,
+   which lets [merged_events] cons its result in one pass. *)
+
+type cursor = {
+  label : int;
+  ring : Precorder.t;
+  decode : kind:int -> ident:int -> a:int -> b:int -> event;
+  mutable pos : int;  (* the next record to visit; off the ring when spent *)
+}
+
+let merge streams ~newest_first f =
+  let cursor (label, t) =
+    let p = t.store in
+    let n = Precorder.length p in
+    for i = 1 to n - 1 do
+      if Float.compare (Precorder.ts_at p (i - 1)) (Precorder.ts_at p i) > 0
+      then
+        invalid_arg
+          (Printf.sprintf "Trace: merged stream %d is not time-ordered" label)
+    done;
+    { label; ring = p; decode = event_of_packed p;
+      pos = (if newest_first then n - 1 else 0) }
   in
-  List.sort
-    (fun (s1, ts1, q1, _) (s2, ts2, q2, _) ->
-      let c = Float.compare ts1 ts2 in
+  let cs = Array.of_list (List.map cursor streams) in
+  let k = Array.length cs in
+  let live i = cs.(i).pos >= 0 && cs.(i).pos < Precorder.length cs.(i).ring in
+  (* Each cursor's timestamp, kept unboxed for the comparisons. *)
+  let heads = Array.make k 0. in
+  let load i =
+    if live i then heads.(i) <- Precorder.ts_at cs.(i).ring cs.(i).pos
+  in
+  for i = 0 to k - 1 do
+    load i
+  done;
+  let compare_heads i j =
+    let c = Float.compare heads.(i) heads.(j) in
+    if c <> 0 then c
+    else
+      let c = Int.compare cs.(i).label cs.(j).label in
       if c <> 0 then c
       else
-        let c = Int.compare s1 s2 in
-        if c <> 0 then c else Int.compare q1 q2)
-    all
+        Int.compare
+          (Precorder.seq_at cs.(i).ring cs.(i).pos)
+          (Precorder.seq_at cs.(j).ring cs.(j).pos)
+  in
+  let step = if newest_first then -1 else 1 in
+  let best = ref 0 in
+  while !best >= 0 do
+    best := -1;
+    for n = 0 to k - 1 do
+      let i = if newest_first then k - 1 - n else n in
+      if live i && (!best < 0 || step * compare_heads i !best < 0) then
+        best := i
+    done;
+    if !best >= 0 then begin
+      let c = cs.(!best) in
+      f ~stream:c.label ~ts:heads.(!best) ~seq:(Precorder.seq_at c.ring c.pos)
+        (Precorder.decode_at c.ring c.pos c.decode);
+      c.pos <- c.pos + step;
+      load !best
+    end
+  done
+
+let merged_events streams =
+  let acc = ref [] in
+  merge streams ~newest_first:true (fun ~stream ~ts ~seq ev ->
+      acc := (stream, ts, seq, ev) :: !acc);
+  !acc
+
+let iter_merged streams f = merge streams ~newest_first:false f
 
 (* Emitters check [on] and the class filter first, so a disabled tracer
    costs one branch per call site.  An enabled one allocates nothing
@@ -373,10 +445,8 @@ let to_text buf t =
   let fmt = Format.formatter_of_buffer buf in
   Format.fprintf fmt "# trace %s: %d events (%d overwritten)@." t.tr_name
     (length t) (dropped t);
-  List.iter
-    (fun (ts, seq, ev) ->
-      Format.fprintf fmt "%12.1f [%6d] %a@." ts seq pp_event ev)
-    (events t);
+  iter_precorder t.store (fun ~ts ~seq ev ->
+      Format.fprintf fmt "%12.1f [%6d] %a@." ts seq pp_event ev);
   Format.pp_print_flush fmt ()
 
 (* CSV: event-specific int arguments land in generic [a]/[b] columns and
@@ -415,8 +485,7 @@ let cls_name = function
 
 let to_csv buf t =
   Buffer.add_string buf "seq,ts_us,class,event,pkt,a,b,detail\n";
-  List.iter
-    (fun (ts, seq, ev) ->
+  iter_precorder t.store (fun ~ts ~seq ev ->
       let nm, pkt, a, b, detail = csv_fields ev in
       (* The detail column only ever holds identifier-ish strings, but keep
          the quoting honest anyway. *)
@@ -428,7 +497,6 @@ let to_csv buf t =
       Buffer.add_string buf
         (Printf.sprintf "%d,%.3f,%s,%s,%d,%d,%d,%s\n" seq ts
            (cls_name (class_of_event ev)) nm pkt a b detail))
-    (events t)
 
 (* --- Chrome trace_event sink ------------------------------------------- *)
 
@@ -443,7 +511,6 @@ let tid_sock s = 10000 + s
 
 let chrome_json t =
   let pid = 1 in
-  let evs = events t in
   let items = ref [] in
   let emit e = items := e :: !items in
   let meta name args = Json.Obj ([ ("ph", Json.Str "M"); ("pid", Json.Num (float_of_int pid)); ("name", Json.Str name) ] @ args) in
@@ -465,16 +532,14 @@ let chrome_json t =
       emit (thread_meta tid nm)
     end
   in
-  List.iter
-    (fun (_, _, ev) ->
+  iter_precorder t.store (fun ~ts:_ ~seq:_ ev ->
       match ev with
       | Demux { chan; _ } | Early_discard { chan; _ } when chan >= 0 ->
           ensure_track (tid_chan chan) (Printf.sprintf "chan %d" chan)
       | Sock_enqueue { sock; _ } | Sock_drop { sock; _ }
       | Syscall_copyout { sock; _ } when sock >= 0 ->
           ensure_track (tid_sock sock) (Printf.sprintf "sock %d" sock)
-      | _ -> ())
-    evs;
+      | _ -> ());
   (* The ring may have overwritten a "B" whose "E" survived; drop unmatched
      closes so the slice stacks stay well-formed. *)
   let depth = Hashtbl.create 8 in
@@ -501,8 +566,7 @@ let chrome_json t =
       emit (base "E" name tid ts [])
     end
   in
-  List.iter
-    (fun (ts, _, ev) ->
+  iter_precorder t.store (fun ~ts ~seq:_ ev ->
       match ev with
       | Nic_rx { pkt; bytes } ->
           instant ~args:[ ("pkt", num pkt); ("bytes", num bytes) ] "nic-rx" tid_nic ts
@@ -577,11 +641,11 @@ let chrome_json t =
             tid_soft ts
       | Gro_flush { pkt; segs } ->
           instant ~args:[ ("pkt", num pkt); ("segs", num segs) ] "gro-flush"
-            tid_soft ts)
-    evs;
+            tid_soft ts);
   (* Close spans still open at the end of the buffered window so every
      "B" has a matching "E" (a run can end mid-interrupt). *)
-  let last_ts = match List.rev evs with (ts, _, _) :: _ -> ts | [] -> 0. in
+  let n = length t in
+  let last_ts = if n = 0 then 0. else Precorder.ts_at t.store (n - 1) in
   (* Sorted by track id: the synthetic close events land in the JSON in a
      stable order, keeping the sink byte-reproducible. *)
   Lrp_det.Det.iter_sorted

@@ -13,7 +13,8 @@
     checks {!enabled} (plus the event-class filter) first, so a disabled
     tracer costs one branch per call site.  An enabled tracer writes four
     words per event and allocates nothing once its labels are interned.
-    The ring's columns are only allocated on the first recorded event. *)
+    The ring's columns are allocated on the first recorded event and
+    double as they fill, so a tracer's memory tracks what it holds. *)
 
 type t
 
@@ -110,6 +111,11 @@ val events_of_precorder : Precorder.t -> (float * int * event) list
 (** Decode a packed ring (e.g. one read back from a binary dump) to typed
     events, oldest first. *)
 
+val iter_precorder :
+  Precorder.t -> (ts:float -> seq:int -> event -> unit) -> unit
+(** Visit a packed ring's events decoded, oldest first, without building
+    a list. *)
+
 val clear : t -> unit
 val length : t -> int
 
@@ -123,7 +129,21 @@ val merged_events : (int * t) list -> (int * float * int * event) list
 (** Merge labelled recorder streams into one timeline as
     [(stream, virtual-time, seq, event)], ordered by (time, stream, seq)
     with an explicit field-by-field comparator — a total order, so the
-    merged dump of a sharded run is byte-identical at any shard count. *)
+    merged dump of a sharded run is byte-identical at any shard count.
+    Records with equal keys (possible only when two streams share a
+    label) keep the order of [streams].
+
+    Precondition: every stream is time-ordered oldest-first, as the
+    recorder of any engine-stamped tracer is.  The merge walks the rings
+    in place and builds the result in one pass; it raises
+    [Invalid_argument] if a stream's timestamps ever decrease. *)
+
+val iter_merged :
+  (int * t) list -> (stream:int -> ts:float -> seq:int -> event -> unit) ->
+  unit
+(** [iter_merged streams f] visits the {!merged_events} timeline in order
+    without building a list.  Same precondition: it raises
+    [Invalid_argument] before calling [f] if a stream is not time-ordered. *)
 
 (* --- emitters (no-ops unless enabled and class passes the filter) ------ *)
 

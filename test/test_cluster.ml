@@ -179,6 +179,17 @@ let test_digest_parity () =
         (Cluster.report r))
     [ 2; 3 ]
 
+(* Absolute pins for the default experiment (8 racks x 8 hosts, seed
+   42): its documented digest, and an FNV-1a of the merged recorder
+   dump's bytes.  Shard parity cannot see a change that moves every
+   shard count alike; these can. *)
+let test_default_run_golden () =
+  let r = Cluster.run () in
+  Alcotest.(check string) "digest" "5b6743db82df05cb"
+    (Printf.sprintf "%Lx" r.Cluster.digest);
+  Alcotest.(check string) "merged dump FNV-1a" "16f40e667e3eda6d"
+    (Printf.sprintf "%Lx" (Cluster.fnv1a64 r.Cluster.dump))
+
 (* Random topology and workload parameters: the digest must not depend on
    the shard count, including shard counts above the rack count. *)
 let prop_shard_invariance =
@@ -207,4 +218,6 @@ let suite =
       test_uplink_conservation;
     Alcotest.test_case "cluster digest identical at shards 1/2/3" `Slow
       test_digest_parity;
+    Alcotest.test_case "default cluster run matches its golden digest" `Quick
+      test_default_run_golden;
     QCheck_alcotest.to_alcotest prop_shard_invariance ]

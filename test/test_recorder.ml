@@ -243,6 +243,106 @@ let test_dump_rejects_garbage () =
   | Ok _ -> Alcotest.fail "truncated dump accepted"
   | Error _ -> ()
 
+(* --- column growth ------------------------------------------------------ *)
+
+(* The reference model: record [i] has kind [i mod 24], timestamp [i],
+   ident [i] and args [(i mod 1000, i / 3)]; a recorder that took [n]
+   records keeps the newest [kept] of them, with sequence numbers
+   [n - kept .. n - 1]. *)
+let model_record p clock i =
+  clock.(0) <- float_of_int i;
+  Precorder.record p ~kind:(i mod 24) ~ident:i ~a:(i mod 1000) ~b:(i / 3)
+
+let check_model what p ~n ~kept =
+  Alcotest.(check int) (what ^ ": length") kept (Precorder.length p);
+  Alcotest.(check int) (what ^ ": dropped") (n - kept) (Precorder.dropped p);
+  Alcotest.(check int) (what ^ ": recorded") n (Precorder.recorded p);
+  let off = ref 0 in
+  Precorder.iter p (fun ~ts ~seq ~kind ~ident ~a ~b ->
+      let i = n - kept + !off in
+      if (ts, seq, kind, ident, a, b)
+         <> (float_of_int i, i, i mod 24, i, i mod 1000, i / 3)
+      then Alcotest.failf "%s: survivor %d differs from the model" what !off;
+      incr off);
+  Alcotest.(check int) (what ^ ": iter visits every survivor") kept !off;
+  if kept > 0 then begin
+    let i = n - 1 in
+    Alcotest.(check (float 0.)) (what ^ ": ts_at newest") (float_of_int i)
+      (Precorder.ts_at p (kept - 1));
+    Alcotest.(check int) (what ^ ": seq_at oldest") (n - kept)
+      (Precorder.seq_at p 0);
+    Alcotest.(check int) (what ^ ": decode_at newest") i
+      (Precorder.decode_at p (kept - 1) (fun ~kind:_ ~ident ~a:_ ~b:_ -> ident))
+  end
+
+(* Slots per column after [n] records: none before the first, then 1,024
+   (or [cap]) doubling up to [cap]. *)
+let expected_slots ~cap n =
+  if n = 0 then 0
+  else
+    let rec up s = if s >= min n cap then s else up (2 * s) in
+    min cap (up (min cap 1024))
+
+let dump p =
+  let buf = Buffer.create 4096 in
+  Precorder.dump_to_buffer buf p;
+  Buffer.contents buf
+
+let test_growth_boundaries () =
+  List.iter
+    (fun cap ->
+      let clock = [| 0. |] in
+      let p = Precorder.create ~capacity:cap ~clock () in
+      let empty_words = Obj.reachable_words (Obj.repr p) in
+      (* Every doubling point, up to one past [2 * cap]. *)
+      let rec doublings s = if s > 2 * cap then [] else s :: doublings (2 * s) in
+      let checkpoints =
+        List.sort_uniq compare
+          (List.filter (fun n -> n >= 0)
+             (List.concat_map (fun s -> [ s - 1; s; s + 1 ])
+                (cap :: doublings 1024)
+             @ [ 0; 1; (2 * cap) + 3 ]))
+      in
+      let n = ref 0 in
+      List.iter
+        (fun target ->
+          while !n < target do
+            model_record p clock !n;
+            incr n
+          done;
+          let what = Printf.sprintf "cap %d after %d records" cap target in
+          let kept = min target cap in
+          check_model what p ~n:target ~kept;
+          let slots = expected_slots ~cap target in
+          let words = Obj.reachable_words (Obj.repr p) - empty_words in
+          if words < 4 * slots || words > 4 * (slots + 1) then
+            Alcotest.failf "%s: %d column words, expected 4 x %d slots" what
+              words slots;
+          match Precorder.of_string (dump p) with
+          | Error e -> Alcotest.failf "%s: dump does not read back: %s" what e
+          | Ok q ->
+              check_model (what ^ ", read back") q ~n:target ~kept;
+              Alcotest.(check bool) (what ^ ": dump bytes identical") true
+                (dump p = dump q))
+        checkpoints)
+    [ 1; 1000; 1024; 1500; 65536 ]
+
+(* The default-capacity tracer's footprint follows what it holds: 5,000
+   records fit in 8,192 slots per column, not the 65,536 it could hold. *)
+let test_footprint_tracks_records () =
+  let t, clock = make_tracer () in
+  let p = match Trace.packed t with Some p -> p | None -> assert false in
+  let empty_words = Obj.reachable_words (Obj.repr p) in
+  for i = 1 to 5_000 do
+    clock.(0) <- float_of_int i;
+    Trace.nic_rx t ~pkt:i ~bytes:14
+  done;
+  Alcotest.(check int) "every record kept" 5_000 (Trace.length t);
+  let words = Obj.reachable_words (Obj.repr p) - empty_words in
+  if words > 4 * (8_192 + 1) then
+    Alcotest.failf "%d column words for 5,000 records (> 4 x 8,192 slots)"
+      words
+
 (* --- non-perturbation: recorder on/off, any --jobs --------------------- *)
 
 let point = Alcotest.testable (fun fmt (p : Fig3.point) ->
@@ -476,6 +576,10 @@ let suite =
       test_dump_roundtrip;
     Alcotest.test_case "dump reader rejects malformed input" `Quick
       test_dump_rejects_garbage;
+    Alcotest.test_case "columns double from 1,024 slots and wrap at capacity"
+      `Quick test_growth_boundaries;
+    Alcotest.test_case "5,000 records fit in 8,192 slots per column" `Quick
+      test_footprint_tracks_records;
     Alcotest.test_case "recorder on/off gives identical datapoints" `Quick
       test_recorder_does_not_perturb;
     Alcotest.test_case "accounting tables identical at --jobs 1 and 4" `Quick
