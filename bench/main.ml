@@ -19,7 +19,6 @@ open Lrp_experiments
 let quick = ref false
 let jobs = ref (Domain.recommended_domain_count ())
 let json_path = ref None
-let baseline_out = ref "BENCH_10.json"
 let seed = Common.default_seed
 
 (* ------------------------------------------------------------------ *)
@@ -702,362 +701,6 @@ let bench_demux () =
   in
   Arr rows
 
-(* Committed perf baseline (BENCH_10.json).  Measures the engine hot paths
-   that the two-tier scheduler is responsible for, plus one end-to-end
-   wall-clock figure, and writes them to [!baseline_out] for the CI
-   regression gate (bench/check_baseline.ml compares a fresh snapshot
-   against the committed file with generous tolerances).
-
-   Unlike the Bechamel microbenches above, these loops measure minor
-   allocation directly from [Gc.minor_words] deltas — the typed fast
-   path's 0.0 words/event is an acceptance criterion, so the number must
-   be an exact count, not a regression estimate. *)
-let bench_baseline () =
-  let open Lrp_engine in
-  Common.print_title "Perf baseline (engine hot paths + fig3 wall-clock)";
-  let time_and_words ~n f =
-    (* Warm-up: enough cycles that every one-time growth — slot table,
-       wheel bucket arrays, heap arrays — happens outside the measured
-       window.  One call is not enough: the first *bucketed* event may
-       come thousands of cycles in (due-tick events heap-route), and its
-       bucket array growth would otherwise read as steady-state alloc. *)
-    for _ = 1 to 20_000 do
-      ignore (f ())
-    done;
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      ignore (f ())
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let dw = Gc.minor_words () -. w0 in
-    (dt *. 1e9 /. float_of_int n, dw /. float_of_int n)
-  in
-  let reps = 300_000 in
-  (* Closure fast path: the thunk is a static function, so the slot-table
-     recycling makes the whole schedule/fire cycle allocation-free. *)
-  let eng_sched = Engine.create () in
-  let schedule_fire () =
-    ignore (Engine.schedule_after eng_sched ~delay:1.0 ignore);
-    Engine.step eng_sched
-  in
-  (* Typed fast path: (target id, argument) in the slot table, no closure
-     even though the event carries an argument. *)
-  let eng_typed = Engine.create () in
-  let typed_sink = ref 0 in
-  let typed_tgt = Engine.target eng_typed (fun v -> typed_sink := v) in
-  let typed_fastpath () =
-    ignore (Engine.schedule_to_after eng_typed ~delay:1.0 typed_tgt 7);
-    Engine.step eng_typed
-  in
-  (* The same argument-carrying event as a capturing closure: what every
-     per-packet schedule cost before the typed path existed. *)
-  let eng_thunk = Engine.create () in
-  let thunk_sink = ref 0 in
-  let capturing_thunk () =
-    let v = !thunk_sink + 1 in
-    ignore
-      (Engine.schedule_after eng_thunk ~delay:1.0 (fun () -> thunk_sink := v));
-    Engine.step eng_thunk
-  in
-  (* Demux probe: the per-packet classification + packed-key flow-table
-     lookup the NI (or interrupt handler) performs on every arrival.  The
-     table holds a realistic server port set; the probe hits. *)
-  let demux_tab = Lrp_core.Chantab.create () in
-  let () =
-    for p = 1 to 64 do
-      Lrp_core.Chantab.add_udp demux_tab ~port:p
-        (Lrp_core.Channel.create ~name:(Printf.sprintf "bench-p%d" p) ())
-    done
-  in
-  let demux_pkt =
-    Lrp_net.Packet.udp
-      ~src:(Lrp_net.Packet.ip_of_quad 10 0 0 1)
-      ~dst:(Lrp_net.Packet.ip_of_quad 10 0 0 2)
-      ~src_port:1234 ~dst_port:7
-      (Lrp_net.Payload.synthetic 64)
-  in
-  let demux_probe () =
-    ignore (Lrp_core.Chantab.resolve_slot demux_tab demux_pkt)
-  in
-  (* Arena RX: NI-channel admission and consumption through the handle
-     ring — descriptor acquire into the shared arena, FIFO pop, release.
-     The whole cycle must stay at 0.0 words/packet. *)
-  let rx_arena = Lrp_net.Parena.create () in
-  let rx_chan =
-    Lrp_core.Channel.create ~arena:rx_arena ~limit:64 ~name:"bench-rx" ()
-  in
-  let arena_rx () =
-    ignore (Lrp_core.Channel.enqueue_code rx_chan demux_pkt);
-    ignore (Lrp_core.Channel.pop rx_chan)
-  in
-  (* Arena TX: the driver's if_output through the NIC's descriptor arena
-     — handle-ring push, cached-footprint drain, tx-done fire into a
-     no-op fabric.  Like arena RX, the whole cycle must stay at 0.0
-     words/packet. *)
-  let eng_tx = Engine.create () in
-  let tx_nic =
-    Lrp_net.Nic.create eng_tx ~name:"bench-tx"
-      ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 9) ()
-  in
-  let tx_arena () =
-    ignore (Lrp_net.Nic.transmit tx_nic demux_pkt);
-    Engine.step eng_tx
-  in
-  (* Recorder on the hot path: the same arena RX cycle plus the
-     flight-recorder emit the NIC path performs per packet.  The recorder
-     is four word stores into SoA ring columns, so the whole
-     traced cycle must stay at 0.0 words/event and close to bare
-     [arena_rx] time (check_baseline pins the ratio). *)
-  let rec_clock = [| 0. |] in
-  let rec_tracer =
-    Lrp_trace.Trace.create ~name:"bench-recorder" ~clock:rec_clock ()
-  in
-  let () = Lrp_trace.Trace.set_enabled rec_tracer true in
-  let tracing_on_arena_rx () =
-    ignore (Lrp_core.Channel.enqueue_code rx_chan demux_pkt);
-    Lrp_trace.Trace.nic_rx rec_tracer ~pkt:42 ~bytes:64;
-    ignore (Lrp_core.Channel.pop rx_chan)
-  in
-  (* Ledger charge: the always-on accounting write behind every CPU
-     charge — float-array arithmetic plus one int-keyed probe, with the
-     row already warmed so the steady state is allocation-free. *)
-  let bench_ledger = Lrp_sim.Ledger.create () in
-  let () =
-    Lrp_sim.Ledger.charge bench_ledger Lrp_sim.Ledger.Proto ~pid:1 ~flow:3 0.;
-    Lrp_sim.Ledger.charge bench_ledger Lrp_sim.Ledger.Intr ~pid:(-1) ~flow:(-1)
-      0.
-  in
-  let ledger_overhead () =
-    Lrp_sim.Ledger.charge bench_ledger Lrp_sim.Ledger.Proto ~pid:1 ~flow:3 0.1;
-    Lrp_sim.Ledger.charge bench_ledger Lrp_sim.Ledger.Intr ~pid:(-1) ~flow:(-1)
-      0.1
-  in
-  (* Batched dispatch: 64 same-deadline events admitted through the typed
-     path and drained by one [Engine.drain] call — the engine dispatches
-     equal-key runs as a batch, so the per-event cost amortises the pop
-     machinery across the run.  Reported per event. *)
-  let eng_batch = Engine.create () in
-  let batch_sink = ref 0 in
-  let batch_tgt = Engine.target eng_batch (fun v -> batch_sink := v) in
-  let batch_n = 64 in
-  let batch_dispatch () =
-    for i = 1 to batch_n do
-      ignore (Engine.schedule_to_after eng_batch ~delay:1.0 batch_tgt i)
-    done;
-    Engine.drain eng_batch
-  in
-  (* Periodic re-arm: one slot and one thunk for the clock's lifetime. *)
-  let eng_rearm = Engine.create () in
-  let rearm_handle = ref Engine.none in
-  let () =
-    rearm_handle :=
-      Engine.schedule_after eng_rearm ~delay:1.0 (fun () ->
-          Engine.reschedule_after eng_rearm !rearm_handle ~delay:1.0)
-  in
-  let periodic_rearm () = Engine.step eng_rearm in
-  (* Staged re-arm: the grace-poll / coalesce-timer idiom — the deadline
-     staged through the engine's float cell, the (target, argument) pair
-     through the slot table.  The whole arm+fire cycle must stay at 0.0
-     words/event (the thunk form it replaced paid ~7 words per arm). *)
-  let eng_staged = Engine.create () in
-  let staged_sink = ref 0 in
-  let staged_tgt = Engine.target eng_staged (fun v -> staged_sink := v) in
-  let staged_rearm () =
-    (Engine.deadline_cell eng_staged).(0) <-
-      (Engine.clock_cell eng_staged).(0) +. 1.0;
-    ignore (Engine.schedule_to_staged eng_staged staged_tgt 7);
-    Engine.step eng_staged
-  in
-  (* RX coalescing: a sub-threshold train arming the NIC's hold-off
-     timer, the timer firing into the kernel's kick, and the poll
-     draining the ring — the cycle rebuilt on the staged path so a
-     sub-threshold train allocates nothing. *)
-  let eng_rxq = Engine.create () in
-  let rxq_nic =
-    Lrp_net.Nic.create eng_rxq ~name:"bench-rxq"
-      ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 8) ()
-  in
-  let () =
-    Lrp_net.Nic.configure_rx_queues rxq_nic ~queues:1 ~ring:64
-      ~coalesce_pkts:64 ~coalesce_us:5.
-      ~steer:(fun _ -> 0)
-      ~kick:(fun q -> Lrp_net.Nic.rxq_disable_intr rxq_nic q)
-  in
-  let rxq_coalesce () =
-    Lrp_net.Nic.receive rxq_nic demux_pkt;
-    ignore (Engine.step eng_rxq);
-    ignore (Lrp_net.Nic.rxq_pop rxq_nic 0);
-    Lrp_net.Nic.rxq_enable_intr rxq_nic 0
-  in
-  (* Timer churn at depth: a cancel-heavy schedule stream (7 of 8 timers
-     are cancelled before firing — the TCP retransmit pattern).  Under the
-     wheel, dead entries are dropped in O(1) when their bucket pours and
-     the heap stays small; a pure heap sifts every corpse in and out, and
-     grows with every lingering cancellation. *)
-  (* Timer churn in the regime the wheel is built for (and the one the
-     paper's TCP stack generates): a deep standing population of pending
-     retransmit timers, re-armed on every ACK — cancel the old RTO,
-     schedule a fresh one ~200 ms out — while the clock creeps forward in
-     small steps.  Per re-arm the pure heap pays an O(log n) sift at
-     schedule and another at the lazy-cancel pop; the wheel pays an O(1)
-     bucket push and an O(1) filtered drop when the bucket pours. *)
-  let bulk_churn ~pure_heap () =
-    let eng = Engine.create ~pure_heap () in
-    let standing = 50_000 in
-    let handles = Array.make standing Engine.none in
-    for i = 0 to standing - 1 do
-      handles.(i) <-
-        Engine.schedule_after eng
-          ~delay:(200_000. +. float_of_int (i land 4095))
-          ignore
-    done;
-    let n = 200_000 in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to n - 1 do
-      let c = i mod standing in
-      Engine.cancel eng handles.(c);
-      handles.(c) <-
-        Engine.schedule_after eng
-          ~delay:(200_000. +. float_of_int (i land 4095))
-          ignore;
-      (* the ACK itself: a short event fires and nudges the clock *)
-      if i land 63 = 0 then begin
-        ignore (Engine.schedule_after eng ~delay:10. ignore);
-        ignore (Engine.step eng)
-      end
-    done;
-    Engine.run eng ~until:(Engine.now eng +. 1e9);
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-  in
-  Printf.printf "  %-44s %12s %14s\n" "" "time" "minor alloc";
-  let measure key label f =
-    let ns, words = time_and_words ~n:reps f in
-    Printf.printf "  %-44s %9.1f ns %8.1f words\n" label ns words;
-    (key, ns, words)
-  in
-  (* Like [measure], but [f] performs [per] events per call; report per
-     event so the entry is comparable with the others. *)
-  let measure_scaled key label ~per f =
-    let ns, words = time_and_words ~n:(reps / per) f in
-    let per = float_of_int per in
-    let ns = ns /. per and words = words /. per in
-    Printf.printf "  %-44s %9.1f ns %8.1f words\n" label ns words;
-    (key, ns, words)
-  in
-  let entries =
-    [ measure "schedule_fire" "engine/schedule+fire (static thunk)"
-        schedule_fire;
-      measure "typed_fastpath" "engine/schedule_to+fire (typed target)"
-        typed_fastpath;
-      measure "capturing_thunk" "engine/schedule+fire (capturing thunk)"
-        capturing_thunk;
-      measure "demux_probe" "demux/classify+flow-table probe (hit)"
-        demux_probe;
-      measure "arena_rx" "channel/arena enqueue_code+pop" arena_rx;
-      measure "tx_arena" "nic/arena transmit+tx-done (cached bytes)"
-        tx_arena;
-      measure "tracing_on_arena_rx" "channel/arena rx + packed recorder"
-        tracing_on_arena_rx;
-      measure "ledger_overhead" "cpu/ledger charge (warm rows, x2)"
-        ledger_overhead;
-      measure_scaled "batch_dispatch" "engine/batched dispatch (64-run)"
-        ~per:batch_n batch_dispatch;
-      measure "periodic_rearm" "engine/periodic re-arm (reschedule_after)"
-        periodic_rearm;
-      measure "staged_rearm" "engine/staged re-arm (schedule_to_staged)"
-        staged_rearm;
-      measure "rxq_coalesce" "nic/coalesce arm+fire+poll (staged timer)"
-        rxq_coalesce;
-      (let ns = bulk_churn ~pure_heap:false () in
-       Printf.printf "  %-44s %9.1f ns\n" "engine/bulk timer churn (wheel)" ns;
-       ("timer_churn_wheel", ns, 0.));
-      (let ns = bulk_churn ~pure_heap:true () in
-       Printf.printf "  %-44s %9.1f ns\n" "engine/bulk timer churn (pure heap)"
-         ns;
-       ("timer_churn_pure_heap", ns, 0.)) ]
-  in
-  (* Engine throughput: the median of [eps_trials] timed trials of the
-     schedule-and-fire loop (one trial swings by up to 2x on a shared
-     host), with the spread recorded next to it. *)
-  let eps_trials = 7 in
-  let eps =
-    Array.init eps_trials (fun _ ->
-        let ns, _ = time_and_words ~n:reps schedule_fire in
-        1e9 /. ns)
-  in
-  Array.sort Float.compare eps;
-  let events_per_sec = eps.(eps_trials / 2) in
-  let eps_min = eps.(0) and eps_max = eps.(eps_trials - 1) in
-  let t0 = Unix.gettimeofday () in
-  ignore (Fig3.run ~quick:true ~jobs:1 ~seed ());
-  let fig3_wall = Unix.gettimeofday () -. t0 in
-  Printf.printf "  %-44s %9.0f events/s (median of %d, %.0f..%.0f)\n"
-    "engine throughput" events_per_sec eps_trials eps_min eps_max;
-  Printf.printf "  %-44s %11.2f s\n" "fig3 (quick, 1 job) wall-clock" fig3_wall;
-  (* Sharded cluster: the 64-host spine-leaf topology at 1 and 8 shards.
-     The digests must match — byte-identical results are the shard
-     engine's contract.  [speedup_available] (total events over the epoch
-     schedule's critical path) is deterministic and machine-independent,
-     so CI gates on it even on a 1-core runner; measured wall speedup is
-     recorded with the core count for context and only judged on
-     machines with enough cores to show it. *)
-  let run_cluster shards =
-    let t0 = Unix.gettimeofday () in
-    let r = Cluster.run ~shards ~duration:(if !quick then 50_000. else 200_000.) () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let c1, cwall1 = run_cluster 1 in
-  let c8, cwall8 = run_cluster 8 in
-  let ceps1 = float_of_int c1.Cluster.events /. cwall1 in
-  let ceps8 = float_of_int c8.Cluster.events /. cwall8 in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "  %-44s %9.0f events/s\n" "cluster 8x8 (1 shard)" ceps1;
-  Printf.printf "  %-44s %9.0f events/s\n" "cluster 8x8 (8 shards)" ceps8;
-  Printf.printf "  %-44s %11s\n" "cluster digests (1 vs 8 shards)"
-    (if Int64.equal c1.Cluster.digest c8.Cluster.digest then "identical"
-     else "MISMATCH");
-  Printf.printf "  %-44s %10.2fx (measured %.2fx on %d cores)\n"
-    "cluster speedup available"
-    (Cluster.speedup_available c8)
-    (cwall1 /. cwall8) cores;
-  let doc =
-    Obj
-      [ ("schema", Int 1);
-        ( "entries",
-          Arr
-            (List.map
-               (fun (key, ns, words) ->
-                 Obj
-                   [ ("name", Str key);
-                     ("ns_per_event", Num ns);
-                     ("minor_words_per_event", Num words) ])
-               entries) );
-        ("events_per_sec", Num events_per_sec);
-        ("events_per_sec_min", Num eps_min);
-        ("events_per_sec_max", Num eps_max);
-        ("events_per_sec_trials", Int eps_trials);
-        ("fig3_quick_wall_s", Num fig3_wall);
-        ( "cluster",
-          Obj
-            [ ("racks", Int c1.Cluster.racks);
-              ("hosts_per_rack", Int c1.Cluster.hosts_per_rack);
-              ("events", Int c1.Cluster.events);
-              ("digest_shards1", Str (Printf.sprintf "%Lx" c1.Cluster.digest));
-              ("digest_shards8", Str (Printf.sprintf "%Lx" c8.Cluster.digest));
-              ("events_per_sec_shards1", Num ceps1);
-              ("events_per_sec_shards8", Num ceps8);
-              ("speedup_available", Num (Cluster.speedup_available c8));
-              ("speedup_measured", Num (cwall1 /. cwall8));
-              ("cores", Int cores) ] ) ]
-  in
-  let oc = open_out !baseline_out in
-  output_string oc (json_to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  Wrote %s\n" !baseline_out;
-  doc
-
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -1098,13 +741,11 @@ let all_benches =
     ("ablate-accounting", bench_ablate_accounting);
     ("ablate-demux", bench_ablate_demux); ("gateway", bench_gateway);
     ("trace", bench_trace); ("micro", bench_micro);
-    ("demux", bench_demux); ("cluster", bench_cluster);
-    ("baseline", bench_baseline) ]
+    ("demux", bench_demux); ("cluster", bench_cluster) ]
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [--quick] [--jobs N] [--json PATH] [--baseline-out \
-     PATH] [bench ...]\n\
+    "usage: main.exe [--quick] [--jobs N] [--json PATH] [bench ...]\n\
      available benches: %s\n"
     (String.concat ", " (List.map fst all_benches));
   exit 1
@@ -1126,11 +767,7 @@ let () =
     | "--json" :: path :: rest ->
         json_path := Some path;
         parse acc rest
-    | "--baseline-out" :: path :: rest ->
-        baseline_out := path;
-        parse acc rest
-    | ("--jobs" | "--json" | "--baseline-out") :: [] | "--help" :: _
-    | "-h" :: _ ->
+    | ("--jobs" | "--json") :: [] | "--help" :: _ | "-h" :: _ ->
         usage ()
     | a :: _ when String.length a > 0 && a.[0] = '-' ->
         Printf.eprintf "unknown option %S\n" a;

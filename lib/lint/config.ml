@@ -57,10 +57,10 @@ let default =
     det_files = [ "lib/core/det.ml" ];
     d3_files =
       [
-        ("lib/stats/stats.ml", [ "summary"; "Samples.t"; "Rate.t" ]);
+        ("lib/stats/stats.ml", [ "Summary.t"; "Samples.t"; "Rate.t" ]);
         ("lib/proto/tcp.ml", [ "conn"; "timer" ]);
         ("lib/sched/sched.ml", [ "thread" ]);
-        ("lib/trace/trace.ml", [ "entry"; "Report.marks" ]);
+        ("lib/trace/trace.ml", [ "t"; "cursor"; "Report.marks" ]);
         ("lib/engine/eheap.ml", [ "t" ]);
       ];
     d4_dirs = [ "lib/engine"; "lib/net"; "lib/proto"; "lib/core" ];

@@ -26,4 +26,5 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("modern", Test_modern.suite);
       ("lint", Test_lint.suite);
-      ("allocheck", Test_allocheck.suite) ]
+      ("allocheck", Test_allocheck.suite);
+      ("hotpath", Test_hotpath.suite) ]

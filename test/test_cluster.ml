@@ -190,6 +190,21 @@ let test_default_run_golden () =
   Alcotest.(check string) "merged dump FNV-1a" "16f40e667e3eda6d"
     (Printf.sprintf "%Lx" (Cluster.fnv1a64 r.Cluster.dump))
 
+(* The same default experiment on 8 shards, one rack each: the golden
+   digest and dump FNV (so parity with 1 shard), the exact event count,
+   and the critical-path speedup the partition exposes.  All four are
+   deterministic, so they hold on any machine and any core count. *)
+let test_default_run_8_shards () =
+  let r = Cluster.run ~shards:8 () in
+  Alcotest.(check string) "digest" "5b6743db82df05cb"
+    (Printf.sprintf "%Lx" r.Cluster.digest);
+  Alcotest.(check string) "merged dump FNV-1a" "16f40e667e3eda6d"
+    (Printf.sprintf "%Lx" (Cluster.fnv1a64 r.Cluster.dump));
+  Alcotest.(check int) "events" 358_656 r.Cluster.events;
+  let avail = Cluster.speedup_available r in
+  if avail < 4.0 then
+    Alcotest.failf "speedup_available %.2f at 8 shards, floor 4.0" avail
+
 (* Random topology and workload parameters: the digest must not depend on
    the shard count, including shard counts above the rack count. *)
 let prop_shard_invariance =
@@ -220,4 +235,6 @@ let suite =
       test_digest_parity;
     Alcotest.test_case "default cluster run matches its golden digest" `Quick
       test_default_run_golden;
-    QCheck_alcotest.to_alcotest prop_shard_invariance ]
+    QCheck_alcotest.to_alcotest prop_shard_invariance;
+    Alcotest.test_case "8-shard default run: golden, events, speedup" `Quick
+      test_default_run_8_shards ]
