@@ -8,8 +8,9 @@
           lambdas are static blocks in native code), partial
           application, lazy blocks, objects, first-class modules
      BOX  a float boxed crossing a call boundary: a freshly computed
-          float argument, a bare-float return from an analyzed callee,
-          or a float passed at a polymorphic type
+          float argument (or a let-bound float held unboxed), a
+          bare-float return from an analyzed callee, or a float passed
+          at a polymorphic type
      TUP  tuple construction
      REC  record construction (including functional update)
      VAR  non-constant variant / exception construction (incl. ::, Some)
@@ -42,17 +43,20 @@ type ctx = {
   load : Cmtload.t;
   current : Cmtload.modl;
   file : string;
-  supp : Lrp_report.Suppress.t;
+  supp : Suppress.t;
   allocating_extra : string list;
-  emit : Lrp_report.Finding.t -> unit;  (* called only for unclaimed findings *)
+  emit : Finding.t -> unit;  (* called only for unclaimed findings *)
   edge : Cmtload.modl -> Cmtload.func -> unit;
+  mutable unboxed : Ident.t list;
+      (* let-bound floats held unboxed (arithmetic results, float-array
+         and field reads): each boxes afresh where it crosses a call *)
 }
 
 let report ctx ~loc ~rule msg =
   let line = loc.Location.loc_start.Lexing.pos_lnum in
   let col = loc.Location.loc_start.pos_cnum - loc.Location.loc_start.pos_bol in
-  if not (Lrp_report.Suppress.claim ctx.supp ~tag:"cold" ~line) then
-    ctx.emit (Lrp_report.Finding.v ~rule ~file:ctx.file ~line ~col msg)
+  if not (Suppress.claim ctx.supp ~tag:"cold" ~line) then
+    ctx.emit (Finding.v ~rule ~file:ctx.file ~line ~col msg)
 
 (* ------------------------------------------------------------------ *)
 (* Stdlib call classification                                          *)
@@ -231,6 +235,18 @@ let free_idents ctx ~self (e : expression) =
 let is_fun (e : expression) =
   match e.exp_desc with Texp_function _ -> true | _ -> false
 
+(* A float the native compiler keeps unboxed when let-bound: the result
+   of a primitive (float arithmetic, a float-array read) or a field read.
+   A call's float result arrives boxed and is passed on as it is. *)
+let unboxed_float (e : expression) =
+  is_float e.exp_type
+  &&
+  match e.exp_desc with
+  | Texp_field _ -> true
+  | Texp_apply ({ exp_desc = Texp_ident (_, _, vd); _ }, _) -> (
+      match vd.Types.val_kind with Types.Val_prim _ -> true | _ -> false)
+  | _ -> false
+
 let rec walk ctx (e : expression) =
   match e.exp_desc with
   | Texp_ident (p, _, _) -> maybe_edge ctx p
@@ -246,6 +262,9 @@ let rec walk ctx (e : expression) =
               match vb.vb_expr.exp_desc with
               | Texp_apply (_, [ (_, Some init) ]) -> walk ctx init
               | _ -> ())
+          | Tpat_var (id, _) when unboxed_float vb.vb_expr ->
+              ctx.unboxed <- id :: ctx.unboxed;
+              walk ctx vb.vb_expr
           | _ -> walk ctx vb.vb_expr)
         vbs;
       walk ctx body
@@ -481,9 +500,10 @@ and chain_arity (e : expression) =
   | _ -> 0
 
 (* Float-boxing at a call into the analyzed set: freshly computed float
-   arguments box at the boundary (already-boxed floats — constants,
-   variables — are passed as-is), a bare-float return boxes in the
-   callee, and a float passed at a polymorphic type is always boxed. *)
+   arguments, and let-bound floats held unboxed, box at the boundary
+   (already-boxed floats — constants, parameters, call results — are
+   passed as-is), a bare-float return boxes in the callee, and a float
+   passed at a polymorphic type is always boxed. *)
 and float_box_checks ctx (e : expression) f args m fn =
   let callee =
     Cmtload.short_of m.Cmtload.md_key ^ "." ^ fn.Cmtload.fn_name
@@ -515,16 +535,22 @@ and float_box_checks ctx (e : expression) f args m fn =
               report ctx ~loc:a.exp_loc ~rule:"BOX"
                 (Printf.sprintf
                    "float passed at a polymorphic type to %s is boxed" callee)
-          | _ ->
-              if is_float a.exp_type then
+          | _ -> (
+              let fresh =
+                is_float a.exp_type
+                &&
                 match a.exp_desc with
-                | Texp_apply _ | Texp_field _ | Texp_ifthenelse _ ->
-                    report ctx ~loc:a.exp_loc ~rule:"BOX"
-                      (Printf.sprintf
-                         "float argument to %s is freshly boxed at this \
-                          call; stage it through a float-array cell"
-                         callee)
-                | _ -> ()))
+                | Texp_apply _ | Texp_field _ | Texp_ifthenelse _ -> true
+                | Texp_ident (Path.Pident id, _, _) ->
+                    List.exists (Ident.same id) ctx.unboxed
+                | _ -> false
+              in
+              if fresh then
+                report ctx ~loc:a.exp_loc ~rule:"BOX"
+                  (Printf.sprintf
+                     "float argument to %s is freshly boxed at this call; \
+                      stage it through a float-array cell"
+                     callee))))
     args
 
 and arrows ty =

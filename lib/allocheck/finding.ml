@@ -1,10 +1,9 @@
-(* A typed analyzer finding: rule id, position, human message.  Shared by
-   lrp_lint (Parsetree source rules) and lrp_allocheck (Typedtree
-   allocation/escape rules) so the two tools emit one format and one
-   report grammar.  Findings are value types so drivers can sort and diff
-   them; ordering is (file, line, col, rule, msg) so output is
-   reproducible whatever order files were scanned in — the analyzers hold
-   themselves to the determinism rules they enforce. *)
+(* An analyzer finding: rule id, position, human message.  Every rule
+   family (determinism and layering, allocation, escape) emits this one
+   format.  Findings are value types so drivers can sort and diff them;
+   ordering is (file, line, col, rule, msg) so output is reproducible
+   whatever order files were scanned in — the analyzer holds itself to
+   the determinism rules it enforces. *)
 
 type t = { rule : string; file : string; line : int; col : int; msg : string }
 

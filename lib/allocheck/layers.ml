@@ -3,9 +3,9 @@
    The repo's layering is engine → net → proto → kernel → sim →
    experiments (with stats/trace/parallel/det as leaves and trace/check
    free to observe everything below the drivers).  It is encoded as a
-   rank per library in Config.layer_rank: a *library* may only depend on
-   libraries of strictly lower rank.  Executables and tests sit outside
-   the DAG and may link anything — they are the drivers.
+   rank per library (the conf's layer-rank lines): a *library* may only
+   depend on libraries of strictly lower rank.  Executables and tests sit
+   outside the DAG and may link anything — they are the drivers.
 
    Two findings:
      - a library depends on an equal-or-higher-ranked library
@@ -14,7 +14,7 @@
        new libraries must take an explicit place in the DAG. *)
 
 let check ~config ~file (stanzas : Dunefile.stanza list) : Finding.t list =
-  let rank name = List.assoc_opt name config.Config.layer_rank in
+  let rank name = List.assoc_opt name config.Aconfig.layer_rank in
   let is_lrp name =
     String.length name >= 4 && String.sub name 0 4 = "lrp_"
   in
@@ -29,8 +29,8 @@ let check ~config ~file (stanzas : Dunefile.stanza list) : Finding.t list =
                 [
                   Finding.v ~rule:"L1" ~file ~line:s.line ~col:0
                     (Printf.sprintf
-                       "library %s has no rank in the layer DAG; add it to \
-                        Lint.Config.layer_rank"
+                       "library %s has no rank in the layer DAG; add a \
+                        layer-rank line to allocheck.conf"
                        s.name);
                 ]
               else []

@@ -1,5 +1,4 @@
-(* Path matching for analyzer configuration, shared by lrp_lint and
-   lrp_allocheck.
+(* Path matching for analyzer configuration.
 
    Paths are matched by suffix after '/'-normalisation ("lib/core/det.ml"
    matches "../lib/core/det.ml" and "/abs/repo/lib/core/det.ml"), and

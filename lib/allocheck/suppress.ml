@@ -1,20 +1,20 @@
-(* In-source suppression comments, shared by the analyzers.
+(* In-source suppression comments, shared by the rule families.
 
    Syntax: a comment of the form
 
      (* <marker-word>: <tag> — <reason> *)
 
-   e.g. a "lint:" comment tagged [unordered-ok] for lrp_lint or an
-   "alloc:" comment tagged [cold] for lrp_allocheck.  The comment
-   suppresses a matching finding on the same line or on the line
-   immediately after it (so it can sit above the offending binding or
-   trail the expression).  A suppression that suppresses nothing is
+   e.g. a "lint:" comment tagged [unordered-ok] for the determinism
+   rules or an "alloc:" comment tagged [cold] for the allocation walk.
+   The comment suppresses a matching finding on the same line or on the
+   line immediately after it (so it can sit above the offending binding
+   or trail the expression).  A suppression that suppresses nothing is
    itself a finding (rule SUP): stale exemptions must not accumulate.
 
-   Each analyzer supplies its own marker (the literal comment opener,
-   e.g. "(* lint:"), its known tag set, and its rule-to-tag mapping; the
-   scanning, claiming and unused-sweep mechanics live here so the two
-   tools cannot drift apart. *)
+   Each family supplies its own marker (the literal comment opener,
+   e.g. "(* lint:") and its known tag set; the scanning, claiming and
+   unused-sweep mechanics live here so the two grammars cannot drift
+   apart. *)
 
 type entry = { tag : string; line : int; mutable used : bool }
 

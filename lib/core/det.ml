@@ -8,8 +8,9 @@
 
    These helpers snapshot a table's bindings and visit them in ascending
    key order.  They are the only place in the tree allowed to call
-   [Hashtbl.fold] on an unordered table (rule D2 in lib/lint exempts this
-   file); every other site must go through them.
+   [Hashtbl.fold] on an unordered table (allocheck.conf's [det-file]
+   line exempts this file from rule D2); every other site must go
+   through them.
 
    For tables populated with [Hashtbl.add] (shadowed duplicate keys), all
    bindings are visited; bindings of equal keys keep [Hashtbl.fold]'s

@@ -14,7 +14,8 @@
     shortens TIME_WAIT in the Figure-5 experiment for exactly this
     reason).
 
-    The tuple-keyed tables here are D4-exempt (see {!Lrp_lint.Config}):
+    The tuple-keyed tables here are D4-exempt (the [d4-exempt] line of
+    allocheck.conf):
     this module models the {e BSD} lookup whose cost the paper
     criticises — it is not on any LRP fast path (the NI demultiplexer
     uses the packed-key {!Lrp_core.Chantab}/[Flowtab] instead), and its

@@ -11,3 +11,7 @@ let ret_box x = calc x
 let fresh_arg () = store (calc 1.0)
 
 let passthrough x = store x
+
+let let_arith () = let k = acc.(0) *. 2.0 in store k
+
+let let_read () = let k = acc.(0) in store k

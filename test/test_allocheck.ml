@@ -5,12 +5,11 @@
    committed golden file, and — the gate itself — the live tree is
    finding-free.
 
-   Unlike the lint fixtures, these are *compiled*: the analyzer reads
-   the .cmt output of the test/allocheck_fixtures libraries, so the
-   fixture runs exercise the same cmt-loading path as the live gate. *)
+   Like the lint fixtures, these are *compiled*: the analyzer reads the
+   .cmt output of the test/allocheck_fixtures libraries, so the fixture
+   runs exercise the same cmt-loading path as the live gate. *)
 
 open Lrp_allocheck
-module Finding = Lrp_report.Finding
 
 (* Locate the repo root from wherever the test binary runs (dune runtest
    uses _build/default/test; `dune exec test/main.exe` uses the caller's
@@ -38,6 +37,7 @@ let alloc_entries =
     "Aref.escaping"; "Aref.eliminated"; "Aref.buffer";
     "Acall.trusted"; "Acall.fmt_path"; "Acall.boxed"; "Acall.unboxed";
     "Asup.cold_path"; "Asup.trailing"; "Asup.stale";
+    "Abox.let_arith"; "Abox.let_read";
   ]
 
 let fixture_cfg =
@@ -78,9 +78,9 @@ let test_clo () =
 let test_box () =
   let fs = in_file "abox.ml" in
   check_rl
-    "bare-float return and freshly computed float argument fire; \
-     variable passthrough does not"
-    [ ("BOX", 9); ("BOX", 11); ("BOX", 11) ]
+    "bare-float return, freshly computed float argument and let-bound \
+     arithmetic result or array read fire; parameter passthrough does not"
+    [ ("BOX", 9); ("BOX", 11); ("BOX", 11); ("BOX", 15); ("BOX", 17) ]
     fs;
   Alcotest.(check bool) "return finding names the callee" true
     (List.exists (fun f -> contains f.Finding.msg "Abox.calc") fs)
@@ -185,7 +185,11 @@ let test_conf_parse () =
      escape-dir lib/net\n\
      cross-cell-field ob_pkt\n\
      escape-sanction Fabric.uplink_forward\n\
-     allocating List.map\n"
+     allocating List.map\n\
+     rng-file lib/engine/rng.ml\n\
+     d3-file lib/engine/eheap.ml t cursor\n\
+     c2-dir lib/net\n\
+     layer-rank lrp_engine 1\n"
   in
   (match Aconfig.parse text with
   | Error e -> Alcotest.failf "parse failed: %s" e
@@ -204,7 +208,21 @@ let test_conf_parse () =
       Alcotest.(check (list string)) "sanctions" [ "Fabric.uplink_forward" ]
         c.Aconfig.escape_sanctions;
       Alcotest.(check (list string)) "allocating" [ "List.map" ]
-        c.Aconfig.allocating_extra);
+        c.Aconfig.allocating_extra;
+      Alcotest.(check (list string)) "rng files" [ "lib/engine/rng.ml" ]
+        c.Aconfig.rng_files;
+      Alcotest.(check (list (pair string (list string))))
+        "d3 file with its type names"
+        [ ("lib/engine/eheap.ml", [ "t"; "cursor" ]) ]
+        c.Aconfig.d3_files;
+      Alcotest.(check (list string)) "c2 dirs" [ "lib/net" ] c.Aconfig.c2_dirs;
+      Alcotest.(check (list (pair string int))) "layer ranks"
+        [ ("lrp_engine", 1) ] c.Aconfig.layer_rank);
+  (match Aconfig.parse "layer-rank lrp_engine one\n" with
+  | Error e ->
+      Alcotest.(check bool) "a non-integer rank is an error" true
+        (contains e "line 1")
+  | Ok _ -> Alcotest.fail "layer-rank needs an integer");
   match Aconfig.parse "entry A.b\nbogus-directive x\n" with
   | Error e ->
       Alcotest.(check bool) "error names the line" true (contains e "line 2")

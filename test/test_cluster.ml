@@ -220,6 +220,49 @@ let prop_shard_invariance =
       let d1 = digest 1 in
       Int64.equal d1 (digest 2) && Int64.equal d1 (digest 8))
 
+(* The exchange's tie order: racks 0 and 2 each send one datagram of the
+   same size at the same instant to the host on rack 1, so both frames
+   leave the spine with the same ready time.  Delivery is in ascending
+   (ready, source, sequence) order, so rack 0's datagram must reach the
+   receiver first, at any shard count.  (The default cluster has one
+   source per destination rack and so no cross-source tie.) *)
+let tie_order shards =
+  let cfg = Kernel.default_config Kernel.Soft_lrp in
+  let topo = Topology.spine_leaf ~seed:11 ~racks:3 ~hosts_per_rack:1 ~cfg () in
+  let until = Time.ms 5. in
+  let from = ref [] in
+  Topology.on_cell topo 1 (fun (cell : Topology.cell) ->
+      let k = cell.Topology.kernels.(0) in
+      let sock = Api.socket_dgram k in
+      ignore
+        (Lrp_sim.Cpu.spawn (Kernel.cpu k) ~name:"tie-sink" (fun self ->
+             Api.bind k sock ~owner:(Some self) ~port:9000;
+             for _ = 1 to 2 do
+               let dg = Api.recvfrom k ~self sock in
+               from := Topology.rack_of (fst dg.Socket.dg_from) :: !from
+             done)));
+  List.iter
+    (fun r ->
+      Topology.on_cell topo r (fun (cell : Topology.cell) ->
+          let k = cell.Topology.kernels.(0) in
+          (* One tick, at 1 ms: the second would fall after [stop_at]. *)
+          ignore
+            (Blast.start_source cell.Topology.engine (Kernel.nic k)
+               ~src:(Kernel.ip_address k)
+               ~dst:(Topology.host_ip ~rack:1 ~slot:0, 9000)
+               ~rate:1_000. ~size:32 ~until:(Time.ms 1.5) ())))
+    [ 0; 2 ];
+  ignore (Topology.run ~shards topo ~until);
+  List.rev !from
+
+let test_exchange_tie_order () =
+  List.iter
+    (fun shards ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "shards %d: rack 0's datagram first" shards)
+        [ 0; 2 ] (tie_order shards))
+    [ 1; 3 ]
+
 let suite =
   [ Alcotest.test_case "Shardsim rejects bad arguments" `Quick
       test_shardsim_validation;
@@ -237,4 +280,6 @@ let suite =
       test_default_run_golden;
     QCheck_alcotest.to_alcotest prop_shard_invariance;
     Alcotest.test_case "8-shard default run: golden, events, speedup" `Quick
-      test_default_run_8_shards ]
+      test_default_run_8_shards;
+    Alcotest.test_case "exchange breaks a cross-source tie by source" `Quick
+      test_exchange_tie_order ]

@@ -1,9 +1,13 @@
-(* Tests for lrp_lint: every rule family fires on its fixture, the
-   suppression mechanism works (and reports stale exemptions), the JSON
-   report matches the committed golden file, and — the gate itself — the
-   live tree is finding-free. *)
+(* Tests for the determinism and layering rules of lrp_allocheck: every
+   rule family fires on its fixture, the suppression mechanism works (and
+   reports stale exemptions), the JSON report matches the committed
+   golden file, and — the gate itself — the live tree is finding-free.
 
-open Lrp_lint
+   The fixtures are compiled (test/lint_fixtures is a library, c2/ a
+   second one): the rules read their .cmt Typedtrees, the same loading
+   path as the live gate. *)
+
+open Lrp_allocheck
 
 (* Locate the repo root from wherever the test binary runs (dune runtest
    uses _build/default/test; `dune exec test/main.exe` uses the caller's
@@ -23,24 +27,50 @@ let repo_root () =
 let fixture_dir () = Filename.concat (repo_root ()) "test/lint_fixtures"
 let fixture name = Filename.concat (fixture_dir ()) name
 
+(* The live conf: its rule scopes are the defaults the out-of-scope
+   checks run under, and its layer ranks the table L1 checks against. *)
+let live_conf () =
+  match Aconfig.load (Filename.concat (repo_root ()) "allocheck.conf") with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "allocheck.conf does not load: %s" e
+
+(* Fixture runs load the fixture libraries instead of the build, with no
+   hot path, no escape pass and no layer table (L1 has its own fixture,
+   below). *)
+let default_config () =
+  {
+    (live_conf ()) with
+    Aconfig.cmt_dirs = [ "_build/default/test/lint_fixtures" ];
+    Aconfig.entries = [];
+    Aconfig.escape_dirs = [];
+    Aconfig.layer_rank = [];
+  }
+
 (* Fixture runs widen the C1/P1 scope to the fixture directory (in the
    real config those rules only apply under lib/) and register the
    polymorphic-compare fixture's type in the D3 per-rule config. *)
-let fixture_config =
+let fixture_config () =
+  let d = default_config () in
   {
-    Config.default with
-    Config.stateful_scope = [ "lib"; "lint_fixtures" ];
-    Config.d3_files =
-      ("lint_fixtures/d3_polycompare.ml", [ "pt" ]) :: Config.default.Config.d3_files;
-    Config.d4_dirs = "test/lint_fixtures" :: Config.default.Config.d4_dirs;
+    d with
+    Aconfig.stateful_scope = [ "lib"; "lint_fixtures" ];
+    Aconfig.d3_files =
+      ("lint_fixtures/d3_polycompare.ml", [ "pt" ]) :: d.Aconfig.d3_files;
+    Aconfig.d4_dirs = "test/lint_fixtures" :: d.Aconfig.d4_dirs;
     (* The C2 fixture sits in its own subdirectory: widening c2_dirs to the
        whole fixture tree would re-flag the C1 fixture's sanctioned
        [Atomic.make]. *)
-    Config.c2_dirs = "lint_fixtures/c2" :: Config.default.Config.c2_dirs;
+    Aconfig.c2_dirs = "lint_fixtures/c2" :: d.Aconfig.c2_dirs;
   }
 
-let run_fixture ?(config = fixture_config) name =
-  fst (Driver.run ~config [ fixture name ])
+let analyze config = fst (Adriver.run ~root:(repo_root ()) config)
+let fixture_run = lazy (analyze (fixture_config ()))
+let default_run = lazy (analyze (default_config ()))
+
+let run_fixture ?(run = fixture_run) name =
+  List.filter
+    (fun f -> Pathspec.has_suffix_path f.Finding.file ("lint_fixtures/" ^ name))
+    (Lazy.force run)
 
 let rules fs = List.map (fun f -> f.Finding.rule) fs
 
@@ -57,7 +87,10 @@ let test_d1 () =
 
 let test_d2 () =
   let fs = run_fixture "d2_hashiter.ml" in
-  check_rules "fold, iter and to_seq all fire" [ "D2"; "D2"; "D2" ] fs
+  check_rules
+    "fold, iter and to_seq fire, also through an alias, both local opens \
+     and a local module"
+    [ "D2"; "D2"; "D2"; "D2"; "D2"; "D2"; "D2" ] fs
 
 let test_d3_marshal () =
   let fs = run_fixture "d3_marshal.ml" in
@@ -68,7 +101,7 @@ let test_d3_polycompare () =
   check_rules "bare compare and unapplied (=) fire; infix scalar does not"
     [ "D3"; "D3" ] fs;
   (* The rule is config-driven: without the per-file entry it is silent. *)
-  let fs' = run_fixture ~config:Config.default "d3_polycompare.ml" in
+  let fs' = run_fixture ~run:default_run "d3_polycompare.ml" in
   check_rules "not in config: no findings" [] fs'
 
 let test_d4 () =
@@ -79,7 +112,7 @@ let test_d4 () =
     "at the two literal-key probes" [ 5; 7 ]
     (List.map (fun f -> f.Finding.line) fs);
   (* Scope-driven: outside the hot-path directories the rule is silent. *)
-  let fs' = run_fixture ~config:Config.default "d4_hashkey.ml" in
+  let fs' = run_fixture ~run:default_run "d4_hashkey.ml" in
   check_rules "out of scope: no findings" [] fs'
 
 let test_c1 () =
@@ -100,7 +133,7 @@ let test_c2 () =
     (List.map (fun f -> f.Finding.line) fs);
   (* Scope-driven: outside the cell-parallel directories neither C2 nor
      C1 applies, so the shared-ok exemption is reported as stale. *)
-  let fs' = run_fixture ~config:Config.default "c2/shared.ml" in
+  let fs' = run_fixture ~run:default_run "c2/shared.ml" in
   check_rules "out of scope: only the now-stale suppression" [ "SUP" ] fs'
 
 let test_p1 () =
@@ -108,7 +141,7 @@ let test_p1 () =
   check_rules "printf and print_endline fire" [ "P1"; "P1" ] fs;
   (* Out of the stateful scope (the real config only covers lib/), the
      same file is clean: executables may print. *)
-  let fs' = run_fixture ~config:Config.default "p1_print.ml" in
+  let fs' = run_fixture ~run:default_run "p1_print.ml" in
   check_rules "out of scope: no findings" [] fs'
 
 let test_sup_unused () =
@@ -124,7 +157,7 @@ let test_l1 () =
   let stanzas = Dunefile.stanzas_of text in
   let fs =
     Finding.sort
-      (Layers.check ~config:Config.default ~file:"dune.l1fixture" stanzas)
+      (Layers.check ~config:(live_conf ()) ~file:"dune.l1fixture" stanzas)
   in
   check_rules "upward dep, unranked lib, unranked dep; executables exempt"
     [ "L1"; "L1"; "L1" ] fs;
@@ -162,22 +195,25 @@ let test_suppress_claim () =
      (* lint: domain-local — next line *)\n\
      let c = 3\n"
   in
-  let t = Suppress.scan text in
+  let t =
+    Suppress.scan ~marker:Lintrules.marker ~known:Lintrules.known_tags text
+  in
   Alcotest.(check bool) "same-line claim" true
-    (Suppress.claim t ~rule:"D2" ~line:2);
+    (Lintrules.claim t ~rule:"D2" ~line:2);
   Alcotest.(check bool) "next-line claim" true
-    (Suppress.claim t ~rule:"C1" ~line:4);
+    (Lintrules.claim t ~rule:"C1" ~line:4);
   Alcotest.(check bool) "wrong tag does not claim" false
-    (Suppress.claim t ~rule:"P1" ~line:2);
+    (Lintrules.claim t ~rule:"P1" ~line:2);
   Alcotest.(check bool) "far line does not claim" false
-    (Suppress.claim t ~rule:"D2" ~line:9);
+    (Lintrules.claim t ~rule:"D2" ~line:9);
   Alcotest.(check int) "both claimed, none unused" 0
-    (List.length (Suppress.unused t ~file:"x.ml"))
+    (List.length (Suppress.unused t ~what:"lint" ~file:"x.ml"))
 
 (* --- report format ------------------------------------------------------ *)
 
-let relativize root f =
-  let prefix = Filename.concat root "test/" in
+(* Golden paths are relative to test/, as the fixture sources are. *)
+let relativize f =
+  let prefix = "test/" in
   let file = f.Finding.file in
   let file =
     if String.length file > String.length prefix
@@ -188,9 +224,9 @@ let relativize root f =
   { f with Finding.file }
 
 let test_golden_json () =
-  let root = repo_root () in
-  let findings, _ = Driver.run ~config:fixture_config [ fixture_dir () ] in
-  let findings = Finding.sort (List.map (relativize root) findings) in
+  let findings =
+    Finding.sort (List.map relativize (Lazy.force fixture_run))
+  in
   let got = Finding.to_json findings in
   let golden_path = fixture "golden.json" in
   (* LINT_GOLDEN_REGEN=1 dune test rewrites the golden file in place;
@@ -223,37 +259,38 @@ let test_json_escaping () =
 
 let test_config_matching () =
   Alcotest.(check bool) "suffix match with ../ prefix" true
-    (Config.has_suffix_path "../lib/core/det.ml" "lib/core/det.ml");
+    (Pathspec.has_suffix_path "../lib/core/det.ml" "lib/core/det.ml");
   Alcotest.(check bool) "exact path matches itself" true
-    (Config.has_suffix_path "lib/core/det.ml" "lib/core/det.ml");
+    (Pathspec.has_suffix_path "lib/core/det.ml" "lib/core/det.ml");
   Alcotest.(check bool) "no partial-component match" false
-    (Config.has_suffix_path "lib/core/notdet.ml" "det.ml");
+    (Pathspec.has_suffix_path "lib/core/notdet.ml" "det.ml");
   Alcotest.(check bool) "scope by component" true
-    (Config.in_scope "/abs/repo/lib/net/fabric.ml" [ "lib" ]);
+    (Pathspec.in_scope "/abs/repo/lib/net/fabric.ml" [ "lib" ]);
   Alcotest.(check bool) "bin not in lib scope" false
-    (Config.in_scope "bin/lrp_lint.ml" [ "lib" ])
+    (Pathspec.in_scope "bin/lrp_allocheck.ml" [ "lib" ])
 
 (* --- the gate: zero findings on the live tree -------------------------- *)
 
 let test_self_check () =
   let root = repo_root () in
-  let dirs = List.map (Filename.concat root) [ "lib"; "bin"; "bench" ] in
-  List.iter
-    (fun d ->
-      if not (Sys.file_exists d) then
-        Alcotest.failf "self-check: missing directory %s" d)
-    dirs;
-  let findings, stats = Driver.run dirs in
+  let findings, stats = Adriver.run ~root (live_conf ()) in
   (* Guard against a silently-degenerate scan: the tree has dozens of
-     modules and one dune file per library/executable directory. *)
-  Alcotest.(check bool) "scanned a real tree (.ml count)" true
-    (stats.Driver.ml_files >= 55);
-  Alcotest.(check bool) "scanned the dune files" true
-    (stats.Driver.dune_files >= 14);
+     modules and one dune file per library/executable directory, and the
+     executables' units only exist after `dune build @check`. *)
+  let units = stats.Adriver.units in
+  Alcotest.(check bool) "checked a real tree (unit count)" true
+    (List.length units >= 55);
+  Alcotest.(check bool) "checked the dune files" true
+    (stats.Adriver.dune_files >= 14);
+  List.iter
+    (fun dir ->
+      Alcotest.(check bool) ("checked units under " ^ dir) true
+        (List.exists (fun u -> Pathspec.in_dirs u [ dir ]) units))
+    [ "lib"; "bin"; "bench" ];
   match findings with
   | [] -> ()
   | fs ->
-      Alcotest.failf "live tree has %d lint findings:\n%s" (List.length fs)
+      Alcotest.failf "live tree has %d findings:\n%s" (List.length fs)
         (String.concat "\n" (List.map Finding.to_text fs))
 
 let suite =
