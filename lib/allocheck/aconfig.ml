@@ -13,8 +13,8 @@
    reporting and setup code are supposed to.
 
    Function names are written [Module.func] using the short module name
-   ("Engine.run_batch") or the full compilation-unit name
-   ("Lrp_engine__Engine.run_batch"); submodule bindings use
+   ("Engine.run") or the full compilation-unit name
+   ("Lrp_engine__Engine.run"); submodule bindings use
    [Module.Sub.func]. *)
 
 type t = {
@@ -97,7 +97,7 @@ let empty =
 (* Conf-file parser: one directive per line, '#' comments.             *)
 (*                                                                     *)
 (*   cmt-dir _build/default/lib                                        *)
-(*   entry Engine.run_batch                                            *)
+(*   entry Engine.run                                                  *)
 (*   follow lib/engine                                                 *)
 (*   assume Trace.dump                                                 *)
 (*   escape-dir lib/net                                                *)

@@ -14,7 +14,7 @@
    rules that read every implementation (Lintrules). *)
 
 type func = {
-  fn_name : string;  (* "run_batch", or "Sub.f" for submodule bindings *)
+  fn_name : string;  (* "run", or "Sub.f" for submodule bindings *)
   fn_ident : Ident.t;
   fn_expr : Typedtree.expression;
   fn_line : int;

@@ -1,5 +1,5 @@
-(* Array-backed binary min-heap.  Each entry carries a monotonically
-   increasing sequence number so that equal keys compare FIFO.
+(* Array-backed binary min-heap.  Each entry carries the caller's
+   sequence rank so that equal keys compare FIFO.
 
    Entries are stored in three parallel arrays (keys / seqs / values)
    instead of an array of entry records: no per-insertion allocation, and
@@ -12,17 +12,14 @@ type t = {
   mutable seqs : int array;
   mutable vals : int array;
   mutable size : int;
-  mutable next_seq : int;
 }
 
 let initial_capacity = 16
 
 let create () =
-  { keys = [||]; seqs = [||]; vals = [||]; size = 0; next_seq = 0 }
+  { keys = [||]; seqs = [||]; vals = [||]; size = 0 }
 
 let length t = t.size
-
-let is_empty t = t.size = 0
 
 (* Ensure room for one more entry. *)
 let reserve t =
@@ -43,10 +40,11 @@ let reserve t =
 (* Insert with a caller-supplied sequence rank.  The timer wheel routes
    events through holding buckets and pours them into the heap only when
    their horizon comes up; carrying the schedule-time sequence through the
-   pour keeps FIFO-among-equal-keys identical to a direct heap insertion. *)
-(* [add_pre] with the key read out of [cell.(0)]: a float array load stays
-   unboxed, where a float argument would be boxed at every call — this is
-   the wheel's pour path, traversed once per event. *)
+   pour keeps FIFO-among-equal-keys identical to a direct heap insertion.
+   The key is read out of [cell.(0)]: a float array load stays unboxed,
+   where a float argument would be boxed at every call — this is the
+   wheel's pour path, traversed once per event.  Sift-up walks the hole up
+   from the new leaf, pulling parents down until the entry fits. *)
 let[@inline] add_pre_cell t ~cell ~seq value =
   if t.size = Array.length t.seqs then reserve t;
   let key = cell.(0) in
@@ -68,40 +66,8 @@ let[@inline] add_pre_cell t ~cell ~seq value =
   t.seqs.(!i) <- seq;
   t.vals.(!i) <- value
 
-let add_pre t ~key ~seq value =
-  if t.size = Array.length t.seqs then reserve t;
-  (* Walk the hole up from the new leaf, pulling parents down until the
-     inserted entry fits. *)
-  let i = ref t.size in
-  t.size <- t.size + 1;
-  let stop = ref false in
-  while (not !stop) && !i > 0 do
-    let p = (!i - 1) / 2 in
-    let pk = t.keys.(p) in
-    if key < pk || (key = pk && seq < t.seqs.(p)) then begin
-      t.keys.(!i) <- pk;
-      t.seqs.(!i) <- t.seqs.(p);
-      t.vals.(!i) <- t.vals.(p);
-      i := p
-    end
-    else stop := true
-  done;
-  t.keys.(!i) <- key;
-  t.seqs.(!i) <- seq;
-  t.vals.(!i) <- value
-
-let add t ~key value =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  add_pre t ~key ~seq value
-
-let min_key t = if t.size = 0 then None else Some t.keys.(0)
-
-let[@inline] min_key_or t ~default =
-  if t.size = 0 then default else t.keys.(0)
-
-(* Allocation-free variant: the smallest key is written into [cell.(0)]
-   (float-array-to-float-array, no box) instead of being returned. *)
+(* The smallest key is written into [cell.(0)] (float-array-to-float-array,
+   no box) instead of being returned. *)
 let[@inline] min_key_into t ~cell =
   if t.size = 0 then false
   else begin
@@ -146,37 +112,13 @@ let remove_top t =
     t.vals.(!i) <- t.vals.(n)
   end
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top_key = t.keys.(0) and top_val = t.vals.(0) in
-    remove_top t;
-    Some (top_key, top_val)
-  end
-
-let pop_min t =
-  if t.size = 0 then invalid_arg "Eheap.pop_min: empty heap";
-  let top_val = t.vals.(0) in
-  remove_top t;
-  top_val
-
-(* Conditional pop: if the root's key is <= [bound], pop it — key into
-   [cell.(0)], value returned; otherwise [default].  Fuses the
-   min-compare and the pop that event loops would otherwise run as two
-   separate root accesses. *)
-let[@inline] pop_leq_into t ~bound ~cell ~default =
-  if t.size = 0 || t.keys.(0) > bound then default
-  else begin
-    cell.(0) <- t.keys.(0);
-    let top_val = t.vals.(0) in
-    remove_top t;
-    top_val
-  end
-
-(* [pop_leq_into] with the bound read out of [cell.(1)] instead of a
-   float argument: the batched event loop pops once per event, and a
-   float argument to a non-inlined call is boxed at every call site —
-   two minor words per event that the cell load avoids. *)
+(* The heap's one pop.  Conditional: if the root's key is <= the bound
+   in [cell.(1)], pop it — key into [cell.(0)], value returned; otherwise
+   [default].  One root access where a min-compare followed by a pop pays
+   two, and the bound is read out of the cell rather than passed as a
+   float argument, which a non-inlined call boxes at every call site —
+   two minor words per event on the event loop.  A bound of [infinity]
+   makes it an unconditional pop-min. *)
 let[@inline] pop_boundcell_into t ~cell ~default =
   if t.size = 0 || t.keys.(0) > cell.(1) then default
   else begin
@@ -185,21 +127,3 @@ let[@inline] pop_boundcell_into t ~cell ~default =
     remove_top t;
     top_val
   end
-
-(* Combined min-read + pop: writes the root's key into [cell.(0)] and
-   returns its value, or [default] when the heap is empty.  One root
-   access where the [min_key_into]-then-[pop_min] sequence pays two. *)
-let[@inline] pop_min_into t ~cell ~default =
-  if t.size = 0 then default
-  else begin
-    cell.(0) <- t.keys.(0);
-    let top_val = t.vals.(0) in
-    remove_top t;
-    top_val
-  end
-
-let clear t =
-  t.keys <- [||];
-  t.seqs <- [||];
-  t.vals <- [||];
-  t.size <- 0

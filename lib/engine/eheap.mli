@@ -1,13 +1,17 @@
 (** Min-heap of timestamped entries with stable FIFO tie-breaking.
 
-    The event queue of the simulator.  Entries inserted with equal keys pop
-    in insertion order, which keeps simulations deterministic when many
-    events share a timestamp.
+    The event queue of the simulator.  Each entry carries a caller-assigned
+    sequence rank; entries with equal keys pop in rank order, which keeps
+    simulations deterministic when many events share a timestamp.
 
     Values are ints (the engine's packed event handles): monomorphic
     [int array] value storage compiles to plain word stores, where a
     polymorphic ['a array] would pay the [caml_modify] write barrier on
-    every sift step of the hot schedule/pop cycle. *)
+    every sift step of the hot schedule/pop cycle.
+
+    Keys and bounds travel through a caller-owned float-array cell: a
+    float argument or return of a non-inlined call is boxed at every
+    call, a float-array load or store is not. *)
 
 type t
 
@@ -15,61 +19,18 @@ val create : unit -> t
 
 val length : t -> int
 
-val is_empty : t -> bool
-
-val add : t -> key:float -> int -> unit
-(** [add t ~key v] inserts [v] with priority [key]. *)
-
-val add_pre : t -> key:float -> seq:int -> int -> unit
-(** [add_pre t ~key ~seq v] inserts with an explicit tie-break rank instead
-    of the heap's internal counter.  {!Twheel} assigns every event its rank
-    at schedule time and replays it when a wheel bucket pours into the heap,
-    so FIFO-among-equals is preserved across the detour.  Do not mix with
-    {!add} on the same heap unless the caller's ranks are coordinated with
-    the internal counter. *)
-
 val add_pre_cell : t -> cell:float array -> seq:int -> int -> unit
-(** {!add_pre} with the key read from [cell.(0)] rather than passed as an
-    argument.  A float argument is boxed at every (non-inlined) call; a
-    float-array load is not, so the timer wheel's pour path — traversed
-    once per event — allocates nothing. *)
-
-val min_key : t -> float option
-(** Smallest key currently in the heap, if any. *)
+(** [add_pre_cell t ~cell ~seq v] inserts [v] with key [cell.(0)] and
+    tie-break rank [seq].  {!Twheel} assigns every event its rank at
+    schedule time and replays it when a wheel bucket pours into the heap,
+    so FIFO-among-equals is preserved across the detour. *)
 
 val min_key_into : t -> cell:float array -> bool
 (** Write the smallest key into [cell.(0)] and return [true]; [false]
-    (cell untouched) when the heap is empty.  Allocation-free counterpart
-    of {!min_key_or} for callers that must avoid the boxed float return. *)
-
-val min_key_or : t -> default:float -> float
-(** [min_key] without the option: the smallest key, or [default] when the
-    heap is empty.  Allocation-free — for hot loops. *)
-
-val pop : t -> (float * int) option
-(** Remove and return the entry with the smallest key (FIFO among equal
-    keys). *)
-
-val pop_min : t -> int
-(** Remove the entry with the smallest key and return only its value —
-    no option or tuple allocation.  @raise Invalid_argument if the heap is
-    empty; pair with {!is_empty} or {!min_key_or} in hot loops. *)
-
-val pop_leq_into : t -> bound:float -> cell:float array -> default:int -> int
-(** [pop_leq_into t ~bound ~cell ~default] pops the smallest entry iff its
-    key is [<= bound]: key into [cell.(0)], value returned.  [default]
-    (cell untouched) when the heap is empty or its minimum exceeds
-    [bound].  One root access where a min-compare followed by a pop pays
-    two — the event loop's inner operation. *)
+    (cell untouched) when the heap is empty. *)
 
 val pop_boundcell_into : t -> cell:float array -> default:int -> int
-(** {!pop_leq_into} with the bound read out of [cell.(1)] instead of a
-    float argument (which a non-inlined call would box on every call):
-    pops the smallest entry iff its key is [<= cell.(1)]. *)
-
-val pop_min_into : t -> cell:float array -> default:int -> int
-(** Combined {!min_key_into} + {!pop_min}: write the smallest key into
-    [cell.(0)] and return its value, or [default] (cell untouched) when
-    the heap is empty.  One root access instead of two on the pop path. *)
-
-val clear : t -> unit
+(** [pop_boundcell_into t ~cell ~default] pops the smallest entry iff its
+    key is [<= cell.(1)]: key into [cell.(0)], value returned.  [default]
+    (cell untouched) when the heap is empty or its minimum exceeds the
+    bound; a bound of [infinity] pops the minimum unconditionally. *)

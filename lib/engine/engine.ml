@@ -19,8 +19,9 @@
    but allocating that variant per event is exactly the cost the fast path
    removes, so it is flattened into the slot table: a dispatcher id (the
    constructor, registered once per call site as a {!target}) plus a
-   uniformly-represented argument (the payload).  [Thunk] remains as the
-   plain closure column for cold paths and external users.
+   uniformly-represented argument (the payload).  [Thunk] is one more
+   target, registered by [create]: its argument is the closure and its
+   dispatcher applies it.
 
    Slot states:
      free      — on the free stack, generation already bumped;
@@ -81,14 +82,13 @@ type t = {
   mutable dispatchers : (Obj.t -> unit) array;
   mutable n_dispatchers : int;
   (* slot table *)
-  mutable fns : (unit -> unit) array;
-  mutable disp : int array;   (* dispatcher id, or -1 for a thunk *)
-  mutable args : Obj.t array; (* dispatcher argument (unit for thunks) *)
+  mutable disp : int array;   (* dispatcher id *)
+  mutable args : Obj.t array; (* dispatcher argument *)
   mutable state : Bytes.t;
   mutable gens : int array;
   mutable free : int array; (* stack of free slots *)
   mutable free_top : int;
-  (* scratch column for {!run_batch}: handles of an equal-key run, popped
+  (* scratch column for {!run}: handles of an equal-key run, popped
      together and dispatched through one loop.  Per-engine (engines run in
      separate domains during parallel sweeps) and reused across batches —
      it only ever grows, so the steady state allocates nothing. *)
@@ -100,8 +100,23 @@ type t = {
   ids : Idspace.t;
 }
 
-let no_fn () = ()
 let no_arg = Obj.repr 0
+
+(* Recycle a slot: bump its generation, drop its argument — a freed slot
+   must not pin the last event's payload (packets can be large) or
+   closure — and push it on the free stack. *)
+let[@inline] free_slot t slot =
+  Array.unsafe_set t.gens slot (Array.unsafe_get t.gens slot + 1);
+  Array.unsafe_set t.args slot no_arg;
+  Bytes.unsafe_set t.state slot st_free;
+  Array.unsafe_set t.free t.free_top slot;
+  t.free_top <- t.free_top + 1
+
+(* The built-in [Thunk] target: its argument is the closure itself. *)
+let run_thunk (f : unit -> unit) = f ()
+
+(* Registered first by [create], so its id is always 0. *)
+let thunk : (unit -> unit) target = 0
 
 let create ?(seed = 42) ?(pure_heap = false) () =
   let queue = Twheel.create ~wheel:(not pure_heap) () in
@@ -109,26 +124,21 @@ let create ?(seed = 42) ?(pure_heap = false) () =
     { clock = [| Time.zero |]; queue; cell = Twheel.cell queue;
       root_rng = Rng.create seed;
       live_count = 0; executed = 0; n_scheduled = 0; n_cancelled = 0;
-      dispatchers = [||]; n_dispatchers = 0;
-      fns = [||]; disp = [||]; args = [||]; state = Bytes.empty; gens = [||];
+      dispatchers = [| (Obj.magic run_thunk : Obj.t -> unit) |];
+      n_dispatchers = 1;
+      disp = [||]; args = [||]; state = Bytes.empty; gens = [||];
       free = [||]; free_top = 0;
       batch = Array.make 16 0; batch_active = false;
       ids = Idspace.create () }
   in
   Idspace.use t.ids;
   (* Wheel buckets drop events cancelled before their horizon comes up;
-     the filter recycles the slot, mirroring what [step] does when it pops
-     a cancelled entry from the heap. *)
+     the filter recycles the slot, mirroring what [dispatch] does when a
+     cancelled entry is popped from the heap. *)
   Twheel.set_filter t.queue (fun h ->
       let slot = h land slot_mask in
       if Bytes.get t.state slot = st_cancelled then begin
-        t.gens.(slot) <- t.gens.(slot) + 1;
-        t.fns.(slot) <- no_fn;
-        t.disp.(slot) <- -1;
-        t.args.(slot) <- no_arg;
-        Bytes.set t.state slot st_free;
-        t.free.(t.free_top) <- slot;
-        t.free_top <- t.free_top + 1;
+        free_slot t slot;
         false
       end
       else true);
@@ -139,12 +149,6 @@ let clock_cell t = t.clock
 
 let rng t = t.root_rng
 let ids t = t.ids
-
-(* Earliest pending key, [infinity] when idle — the per-cell deadline
-   Shardsim folds into its global epoch bound. *)
-let next_key t =
-  (* alloc: cold — compat accessor; per-epoch folds use next_key_into *)
-  Twheel.min_key_or t.queue ~default:Float.infinity
 
 let next_key_into t ~cell = Twheel.min_key_into t.queue ~cell
 
@@ -168,18 +172,15 @@ let grow t =
   let cap = Array.length t.gens in
   let cap' = max 16 (2 * cap) in
   if cap' > slot_mask then failwith "Engine: too many pending events"; (* alloc: cold — error path *)
-  let fns = Array.make cap' no_fn in (* alloc: cold — amortized growth *)
-  let disp = Array.make cap' (-1) in (* alloc: cold — amortized growth *)
+  let disp = Array.make cap' 0 in (* alloc: cold — amortized growth *)
   let args = Array.make cap' no_arg in (* alloc: cold — amortized growth *)
   let state = Bytes.make cap' st_free in (* alloc: cold — amortized growth *)
   let gens = Array.make cap' 0 in (* alloc: cold — amortized growth *)
   let free = Array.make cap' 0 in (* alloc: cold — amortized growth *)
-  Array.blit t.fns 0 fns 0 cap;
   Array.blit t.disp 0 disp 0 cap;
   Array.blit t.args 0 args 0 cap;
   Bytes.blit t.state 0 state 0 cap;
   Array.blit t.gens 0 gens 0 cap;
-  t.fns <- fns;
   t.disp <- disp;
   t.args <- args;
   t.state <- state;
@@ -199,24 +200,6 @@ let[@inline] alloc_slot t =
   Bytes.unsafe_set t.state slot st_pending;
   slot
 
-(* Clearing [args] prevents the freed slot from pinning the last event's
-   payload (packets can be large); [fns] is left in place and overwritten
-   by the slot's next thunk occupant — a steady-state loop re-arming the
-   same static thunk through the same slot then skips the [caml_modify]
-   write barrier entirely (see [schedule_cell]'s physical-equality check).
-   The pinned closure is bounded by the slot table's size and is typically
-   a static function.  [disp]/[args] are only dirty for typed events, so
-   only that side is cleared. *)
-let[@inline] free_slot t slot =
-  Array.unsafe_set t.gens slot (Array.unsafe_get t.gens slot + 1);
-  if Array.unsafe_get t.disp slot >= 0 then begin
-    Array.unsafe_set t.disp slot (-1);
-    Array.unsafe_set t.args slot no_arg
-  end;
-  Bytes.unsafe_set t.state slot st_free;
-  Array.unsafe_set t.free t.free_top slot;
-  t.free_top <- t.free_top + 1
-
 (* The event's firing time arrives in [cell.(0)] (written by the public
    wrappers below); an [~at : float] parameter would be boxed at every
    call.  The error paths may allocate freely. *)
@@ -233,41 +216,35 @@ let[@inline] enqueue_cell t slot =
   t.n_scheduled <- t.n_scheduled + 1;
   h
 
-let[@inline] schedule_cell t fn =
-  if t.cell.(0) < t.clock.(0) then schedule_in_past "schedule" t;
-  let slot = alloc_slot t in
-  (* the recycled slot often still holds this exact (static) thunk *)
-  if Array.unsafe_get t.fns slot != fn then t.fns.(slot) <- fn;
-  enqueue_cell t slot
-
-let schedule t ~at fn =
-  t.cell.(0) <- at;
-  schedule_cell t fn
-
-let schedule_after t ~delay fn =
-  t.cell.(0) <- t.clock.(0) +. delay;
-  schedule_cell t fn
-
-let[@inline] schedule_to_cell t tid v =
-  if t.cell.(0) < t.clock.(0) then schedule_in_past "schedule_to" t;
+let[@inline] schedule_to_cell t ~name tid v =
+  if t.cell.(0) < t.clock.(0) then schedule_in_past name t;
   let slot = alloc_slot t in
   t.disp.(slot) <- tid;
   t.args.(slot) <- Obj.repr v;
   enqueue_cell t slot
 
+let schedule t ~at fn =
+  t.cell.(0) <- at;
+  schedule_to_cell t ~name:"schedule" thunk fn
+
+let schedule_after t ~delay fn =
+  t.cell.(0) <- t.clock.(0) +. delay;
+  schedule_to_cell t ~name:"schedule" thunk fn
+
 let schedule_to t ~at (tid : _ target) v =
   t.cell.(0) <- at;
-  schedule_to_cell t tid v
+  schedule_to_cell t ~name:"schedule_to" tid v
 
 let schedule_to_after t ~delay tgt v =
   t.cell.(0) <- t.clock.(0) +. delay;
-  schedule_to_cell t tgt v
+  schedule_to_cell t ~name:"schedule_to" tgt v
 
 (* Unboxed deadline path: the caller stores the deadline straight into
    [t.cell] (a float-array write never boxes) and schedules from it. *)
 let deadline_cell t = t.cell
 
-let schedule_to_staged t (tid : _ target) v = schedule_to_cell t tid v
+let schedule_to_staged t (tid : _ target) v =
+  schedule_to_cell t ~name:"schedule_to" tid v
 
 (* A handle is valid while its generation matches the slot's: from
    [schedule] until the slot is freed (event fired without re-arm, or its
@@ -301,10 +278,6 @@ let reschedule_cell t h =
   t.live_count <- t.live_count + 1;
   t.n_scheduled <- t.n_scheduled + 1
 
-let reschedule t h ~at =
-  t.cell.(0) <- at;
-  reschedule_cell t h
-
 let reschedule_after t h ~delay =
   t.cell.(0) <- t.clock.(0) +. delay;
   reschedule_cell t h
@@ -320,70 +293,60 @@ let timer_stats t =
     routed_heap = Twheel.scheduled_heap t.queue;
     pour_skipped = Twheel.skipped_at_pour t.queue }
 
-(* Fire one popped handle whose key sits in [cell.(0)]: the shared body
-   of [step] and [run_while].  Unsafe accesses: a popped handle's slot was
-   written by [alloc_slot], so it is always below the table's capacity. *)
-let[@inline] fire_popped t h =
+(* Fire one popped handle: the work item runs if the slot is still
+   pending, and the slot is recycled unless the item re-armed itself; a
+   cancelled entry is just dropped.  The clock is the caller's to write.
+   Unsafe accesses: a popped handle's slot was written by [alloc_slot],
+   so it is always below the table's capacity. *)
+let[@inline] dispatch t h =
   let slot = h land slot_mask in
   if Bytes.unsafe_get t.state slot = st_pending then begin
     Bytes.unsafe_set t.state slot st_firing;
     t.live_count <- t.live_count - 1;
-    (* Read the key out of the scratch cell before dispatching — the
-       work item may schedule and clobber it. *)
-    t.clock.(0) <- t.cell.(0);
     t.executed <- t.executed + 1;
-    let d = Array.unsafe_get t.disp slot in
-    if d >= 0 then
-      (Array.unsafe_get t.dispatchers d) (Array.unsafe_get t.args slot)
-    else (Array.unsafe_get t.fns slot) ();
-    (* Unless the work item re-armed itself, recycle the record. *)
+    (Array.unsafe_get t.dispatchers (Array.unsafe_get t.disp slot))
+      (Array.unsafe_get t.args slot);
     if Bytes.unsafe_get t.state slot = st_firing then free_slot t slot
   end
-  else free_slot t slot (* cancelled: drop the queue entry *)
+  else free_slot t slot
 
-let[@inline] step t =
-  (* [pop_min_cell] turns the wheel first, so cancelled bucket entries
-     are filter-dropped before emptiness is decided: -1 here means truly
-     nothing left, even if [is_empty] said otherwise a moment ago. *)
-  let h = Twheel.pop_min_cell t.queue in
+(* Pop the next event due by [cell.(1)] and fire it, moving the clock to
+   its key first — unless it was cancelled, which leaves the clock alone.
+   The one-at-a-time loop of [step] and [run_while]; returns [false] when
+   nothing is due.  [Twheel.pop_boundcell] turns the wheel first, so
+   cancelled bucket entries are filter-dropped before emptiness is
+   decided. *)
+let[@inline] pop_fire t =
+  let h = Twheel.pop_boundcell t.queue in
   if h < 0 then false
   else begin
-    fire_popped t h;
+    (* Read the key out of the scratch cell before dispatching — the
+       work item may schedule and clobber it. *)
+    if Bytes.unsafe_get t.state (h land slot_mask) = st_pending then
+      t.clock.(0) <- t.cell.(0);
+    dispatch t h;
     true
   end
 
+let[@inline] step t =
+  t.cell.(1) <- infinity;
+  pop_fire t
+
 let run_while t pred ~until =
-  (* [pop_leq_cell] fuses the bound check and the pop into one wheel sync
-     and one heap-root access per iteration.  A plain while over a
-     deref-only ref (no closure, the ref compiles to a mutable variable)
-     rather than a local [let rec loop], which would capture
-     [pred]/[until] in a heap-allocated closure per call. *)
+  (* A plain while over a deref-only ref (no closure, the ref compiles to
+     a mutable variable) rather than a local [let rec loop], which would
+     capture [pred]/[until] in a heap-allocated closure per call.  The
+     bound is re-written every iteration: dispatched work may have
+     scheduled, which stores virtual time into [cell.(1)]. *)
   let running = ref true in
   while !running && pred () do
-    let h = Twheel.pop_leq_cell t.queue ~bound:until in
-    if h >= 0 then fire_popped t h
-    else begin
+    t.cell.(1) <- until;
+    if not (pop_fire t) then begin
       (* Queue exhausted up to [until]: the virtual interval elapsed. *)
       if t.clock.(0) < until then t.clock.(0) <- until;
       running := false
     end
   done
-
-(* Dispatch one batched handle: the body of [step] minus the pop and the
-   clock write (the whole batch shares one key, written once). *)
-let[@inline] dispatch_handle t h =
-  let slot = h land slot_mask in
-  if Bytes.unsafe_get t.state slot = st_pending then begin
-    Bytes.unsafe_set t.state slot st_firing;
-    t.live_count <- t.live_count - 1;
-    t.executed <- t.executed + 1;
-    let d = Array.unsafe_get t.disp slot in
-    if d >= 0 then
-      (Array.unsafe_get t.dispatchers d) (Array.unsafe_get t.args slot)
-    else (Array.unsafe_get t.fns slot) ();
-    if Bytes.unsafe_get t.state slot = st_firing then free_slot t slot
-  end
-  else free_slot t slot (* cancelled under the popped entry: drop it *)
 
 (* Batched dispatch.  Pops the maximal run of *equal-key* ready events
    into the scratch column in one go, then dispatches them through a
@@ -392,20 +355,20 @@ let[@inline] dispatch_handle t h =
 
    An equal-key run is the largest slice that can be pre-popped without
    risking reorder: the next queue minimum after popping key [k] is
-   >= k, so [min_key_leq queue k] means *equal* — and anything a batched
-   handler schedules at [k] receives a larger FIFO seq, placing it after
-   the whole batch exactly as the one-at-a-time loop would.  A handler
-   cancelling a not-yet-dispatched batch member is also preserved: the
-   slot is marked cancelled and [dispatch_handle] frees it without firing,
-   just as [step] does when it pops a cancelled entry.  Firing order is
-   therefore byte-identical to [run]'s un-batched semantics.
+   >= k, so a pop bounded by [k] hits only an *equal* key — and anything
+   a batched handler schedules at [k] receives a larger FIFO seq, placing
+   it after the whole batch exactly as the one-at-a-time loop would.  A
+   handler cancelling a not-yet-dispatched batch member is also
+   preserved: the slot is marked cancelled and [dispatch] frees it
+   without firing.  Firing order is therefore byte-identical to
+   [run_while]'s one-at-a-time semantics.
 
    [batch_active] guards re-entrancy: an event that itself calls
-   [run]/[run_batch] (nested simulation) falls back to the un-batched
+   [run]/[drain] (nested simulation) falls back to the one-at-a-time
    loop rather than clobbering the scratch column mid-iteration. *)
-(* [snap] distinguishes {!run_batch} (clock advances to [until] when the
-   queue runs dry first) from {!drain} ([until] is [infinity]; the clock
-   stays at the last fired event). *)
+(* [snap] distinguishes {!run} (clock advances to [until] when the queue
+   runs dry first) from {!drain} ([until] is [infinity]; the clock stays
+   at the last fired event). *)
 let run_loop t ~until ~snap =
   if t.batch_active then run_while t (fun () -> true) ~until
   else begin
@@ -446,7 +409,7 @@ let run_loop t ~until ~snap =
            t.clock.(0) <- k;
            let n = !n in
            for i = 0 to n - 1 do
-             dispatch_handle t t.batch.(i)
+             dispatch t t.batch.(i)
            done
          end
        done
@@ -457,7 +420,6 @@ let run_loop t ~until ~snap =
     if snap && t.clock.(0) < until then t.clock.(0) <- until
   end
 
-let run_batch t ~until = run_loop t ~until ~snap:true
 let run t ~until = run_loop t ~until ~snap:true
 
 (* Takes no float argument ([infinity] is a static constant), so a hot

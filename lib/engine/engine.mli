@@ -22,8 +22,8 @@ type 'a target
     constructor of the engine's work-item variant (packet delivery, softint
     completion, TCP timer, ...), registered once per call site.  Scheduling
     to a target stores only (target id, argument) in the event's slot —
-    zero minor words per event — where scheduling a thunk allocates a fresh
-    closure per event. *)
+    zero minor words per event — where scheduling a capturing thunk
+    allocates its closure per event. *)
 
 val none : handle
 (** The never-valid handle: [cancel]/[is_pending] on it are safe no-ops. *)
@@ -56,20 +56,18 @@ val ids : t -> Idspace.t
     it, so ids stay a function of the cell's own allocation order at any
     shard count. *)
 
-val next_key : t -> float
-(** Virtual time of the earliest pending event, or [infinity] when the
-    queue is empty — the per-cell deadline a sharded coordinator folds
-    into its global epoch bound.  The float return is boxed; per-epoch
-    folds use {!next_key_into}. *)
-
 val next_key_into : t -> cell:float array -> bool
-(** [next_key_into t ~cell] writes the earliest pending key into
-    [cell.(0)] and returns [true], or returns [false] (leaving [cell]
-    alone) when the queue is empty.  Allocation-free variant of
-    {!next_key}. *)
+(** [next_key_into t ~cell] writes the virtual time of the earliest
+    pending event into [cell.(0)] and returns [true], or returns [false]
+    (leaving [cell] alone) when the queue is empty — the per-cell deadline
+    a sharded coordinator folds into its global epoch bound.  The key
+    travels through [cell] because a float return would be boxed. *)
 
 val schedule : t -> at:Time.t -> (unit -> unit) -> handle
-(** [schedule t ~at f] runs [f] at virtual time [at].
+(** [schedule t ~at f] runs [f] at virtual time [at].  Thunks are one
+    more target: the closure is the argument of a built-in dispatcher
+    that applies it, so a static [f] costs nothing per event and a
+    capturing one costs its closure.
     @raise Invalid_argument if [at] is before [now t]. *)
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> handle
@@ -109,16 +107,13 @@ val cancel : t -> handle -> unit
 (** Cancel a pending event.  Cancelling an already-run or already-cancelled
     event is a no-op. *)
 
-val reschedule : t -> handle -> at:Time.t -> unit
-(** Re-arm the currently-firing event at a new time, from inside its own
-    thunk.  The event record and thunk are reused — a periodic source pays
-    no allocation per firing.  Only valid while the handle's thunk is
-    executing (before it has been re-armed).
-    @raise Invalid_argument if the handle is not the currently-firing
-    event, or if [at] is in the past. *)
-
 val reschedule_after : t -> handle -> delay:float -> unit
-(** [reschedule_after t h ~delay] is [reschedule t h ~at:(now t +. delay)]. *)
+(** Re-arm the currently-firing event [delay] after [now t], from inside
+    its own work item.  The event record and its work item are reused — a
+    periodic source pays no allocation per firing.  Only valid while the
+    handle's work item is executing (before it has been re-armed).
+    @raise Invalid_argument if the handle is not the currently-firing
+    event, or if the new time is in the past. *)
 
 val is_pending : t -> handle -> bool
 
@@ -143,18 +138,14 @@ val timer_stats : t -> timer_stats
 val run : t -> until:Time.t -> unit
 (** Execute events in timestamp order until the queue is exhausted or the
     next event lies beyond [until].  The clock is left at the time of the
-    last executed event, or at [until] if that is later.  Equivalent to —
-    and implemented as — {!run_batch}. *)
-
-val run_batch : t -> until:Time.t -> unit
-(** Like {!run}, but pops each maximal run of equal-key ready events into
-    a reusable scratch column and dispatches them through a single loop,
-    paying the queue bookkeeping once per distinct timestamp instead of
-    once per event.  Firing order is exactly (key, FIFO-seq) — an
-    equal-key run is the largest pre-poppable slice that cannot be
-    reordered by anything its own handlers schedule or cancel — so
-    results are byte-identical to an un-batched event loop at any
-    [--jobs] setting. *)
+    last executed event, or at [until] if that is later.  Pops each
+    maximal run of equal-key ready events into a reusable scratch column
+    and dispatches them through a single loop, paying the queue
+    bookkeeping once per distinct timestamp instead of once per event.
+    Firing order is exactly (key, FIFO-seq) — an equal-key run is the
+    largest pre-poppable slice that cannot be reordered by anything its
+    own handlers schedule or cancel — so results are byte-identical to a
+    one-at-a-time event loop at any [--jobs] setting. *)
 
 val drain : t -> unit
 (** {!run} with an unbounded horizon: execute queued events until none

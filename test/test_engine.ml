@@ -90,7 +90,14 @@ let test_run_while_clock_on_early_stop () =
   (* ... so continuing the simulation before [until] is still legal. *)
   ignore (Engine.schedule eng ~at:10. (fun () -> ()));
   Engine.run eng ~until:20.;
-  check_float "resumed run advances normally" 20. (Engine.now eng)
+  check_float "resumed run advances normally" 20. (Engine.now eng);
+  (* A cancelled entry that [step] pops is dropped without moving the
+     clock: only a fired event is "the last fired event". *)
+  let eng = Engine.create () in
+  Engine.cancel eng (Engine.schedule eng ~at:5. (fun () -> ()));
+  Alcotest.(check bool) "step pops the cancelled entry" true
+    (Engine.step eng);
+  check_float "a cancelled pop leaves the clock" 0. (Engine.now eng)
 
 let test_reschedule_periodic () =
   let eng = Engine.create () in
@@ -118,7 +125,28 @@ let test_reschedule_outside_callback () =
   Alcotest.check_raises "re-arm only valid while firing"
     (Invalid_argument
        "Engine.reschedule: handle is not the currently-firing event")
-    (fun () -> Engine.reschedule eng h ~at:20.)
+    (fun () -> Engine.reschedule_after eng h ~delay:20.)
+
+(* A fired thunk must not outlive its event: the slot it ran in is
+   recycled, and a recycled slot may not pin the closure (and so its
+   captures) until the slot's next occupant overwrites it. *)
+let[@inline never] schedule_capturing eng seen =
+  let captured = Bytes.make 64 'x' in
+  Weak.set seen 0 (Some captured);
+  ignore
+    (Engine.schedule eng ~at:10. (fun () ->
+         ignore (Sys.opaque_identity (Bytes.length captured))))
+
+let test_fired_thunk_released () =
+  let eng = Engine.create () in
+  let seen = Weak.create 1 in
+  schedule_capturing eng seen;
+  Engine.run eng ~until:20.;
+  Alcotest.(check int) "the thunk fired" 1 (Engine.events_executed eng);
+  Gc.full_major ();
+  Alcotest.(check bool) "captures unreachable with the engine live" false
+    (Weak.check seen 0);
+  ignore (Sys.opaque_identity eng)
 
 let test_stale_handle_safety () =
   let eng = Engine.create () in
@@ -147,14 +175,27 @@ let test_events_executed () =
 
 (* --- property tests ------------------------------------------------- *)
 
+(* The heap through its cell primitives, with the FIFO ranks the test
+   assigns itself (the engine's wheel assigns them in production). *)
+let heap_cell = [| 0.; infinity |]
+
+let heap_add h ~seq ~key v =
+  heap_cell.(0) <- key;
+  Eheap.add_pre_cell h ~cell:heap_cell ~seq v
+
+let heap_pop h =
+  heap_cell.(1) <- infinity;
+  let v = Eheap.pop_boundcell_into h ~cell:heap_cell ~default:(-1) in
+  if v < 0 then None else Some (heap_cell.(0), v)
+
 let prop_heap_sorted =
   QCheck.Test.make ~count:300 ~name:"eheap pops keys in nondecreasing order"
     QCheck.(list (float_bound_exclusive 1e6))
     (fun keys ->
       let h = Eheap.create () in
-      List.iteri (fun i k -> Eheap.add h ~key:k i) keys;
+      List.iteri (fun i k -> heap_add h ~seq:i ~key:k i) keys;
       let rec drain acc =
-        match Eheap.pop h with
+        match heap_pop h with
         | None -> List.rev acc
         | Some (k, _) -> drain (k :: acc)
       in
@@ -167,10 +208,10 @@ let prop_heap_fifo_on_equal =
     (fun n ->
       let h = Eheap.create () in
       for i = 0 to n - 1 do
-        Eheap.add h ~key:1. i
+        heap_add h ~seq:i ~key:1. i
       done;
       let rec drain acc =
-        match Eheap.pop h with
+        match heap_pop h with
         | None -> List.rev acc
         | Some (_, v) -> drain (v :: acc)
       in
@@ -179,7 +220,7 @@ let prop_heap_fifo_on_equal =
 (* Model-based test of the mixed-operation behaviour: a stable sorted
    association list is the reference.  Few distinct keys force FIFO ties;
    long op lists push the heap past its initial 16 slots; occasional
-   [clear]s check reuse after reset. *)
+   full drains check reuse of an emptied heap. *)
 let prop_heap_model =
   QCheck.Test.make ~count:500 ~name:"eheap agrees with a sorted-list model"
     QCheck.(list small_nat)
@@ -198,7 +239,9 @@ let prop_heap_model =
       List.iter
         (fun n ->
           if n mod 13 = 12 then begin
-            Eheap.clear h;
+            List.iter (fun x -> if heap_pop h <> Some x then ok := false)
+              !model;
+            if heap_pop h <> None then ok := false;
             model := []
           end
           else if n mod 3 = 2 then begin
@@ -209,18 +252,18 @@ let prop_heap_model =
                   model := tl;
                   Some x
             in
-            if Eheap.pop h <> expect then ok := false
+            if heap_pop h <> expect then ok := false
           end
           else begin
             let key = float_of_int (n mod 8) in
             let id = !next_id in
             incr next_id;
-            Eheap.add h ~key id;
+            heap_add h ~seq:id ~key id;
             stable_insert key id
           end)
         ops;
       let rec drain () =
-        match (Eheap.pop h, !model) with
+        match (heap_pop h, !model) with
         | None, [] -> true
         | Some got, expect :: tl when got = expect ->
             model := tl;
@@ -233,17 +276,17 @@ let test_heap_growth () =
   (* Push well past the initial 16-slot capacity and drain in order. *)
   let h = Eheap.create () in
   for i = 199 downto 0 do
-    Eheap.add h ~key:(float_of_int i) i
+    heap_add h ~seq:(199 - i) ~key:(float_of_int i) i
   done;
   Alcotest.(check int) "length" 200 (Eheap.length h);
   for i = 0 to 199 do
-    match Eheap.pop h with
+    match heap_pop h with
     | Some (k, v) ->
         check_float "key order" (float_of_int i) k;
         Alcotest.(check int) "value order" i v
     | None -> Alcotest.fail "heap drained early"
   done;
-  Alcotest.(check bool) "empty at the end" true (Eheap.pop h = None)
+  Alcotest.(check bool) "empty at the end" true (heap_pop h = None)
 
 let prop_rng_deterministic =
   QCheck.Test.make ~count:100 ~name:"rng: same seed, same stream"
@@ -352,3 +395,5 @@ let suite =
     Alcotest.test_case "rng exponential has the right mean" `Slow
       test_rng_exponential_mean ]
   @ qsuite
+  @ [ Alcotest.test_case "a fired thunk's captures are released" `Quick
+        test_fired_thunk_released ]
